@@ -24,7 +24,9 @@ use s2rdf_model::{Dictionary, Term, Triple};
 use s2rdf_sparql::{GraphPattern, QueryForm, Selection, TermPattern, TriplePattern};
 
 use crate::error::CoreError;
-use crate::exec::{eval_query, BgpEvaluator, ExecContext, Explain, QueryOptions, Solutions};
+use crate::exec::{
+    eval_query, eval_query_table, BgpEvaluator, ExecContext, Explain, QueryOptions, Solutions,
+};
 
 /// The result of a SPARQL query, shaped by its query form.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,29 +101,27 @@ pub(crate) fn run_query_result(
     let before = pool.stats();
     let mut ctx = ExecContext::new(ev.dict(), *options);
     let span = ctx.span_open("query");
+    // ASK, CONSTRUCT and DESCRIBE consume the `SELECT *` id table over the
+    // same pattern and modifiers; only SELECT decodes a solution sequence.
     let result = match &query.form {
         QueryForm::Select => QueryResult::Solutions(eval_query(ev, &query, &mut ctx)?),
         QueryForm::Ask => {
-            // ASK only needs existence; evaluate the pattern as a SELECT *
-            // (modifiers cannot change emptiness except LIMIT 0, which is
-            // honored by eval_query's slicing).
-            let solutions = eval_query(ev, &as_select_all(&query), &mut ctx)?;
-            QueryResult::Bool(!solutions.is_empty())
+            // Modifiers cannot change emptiness except LIMIT 0 or an
+            // OFFSET past the end, which the id table's slice honours.
+            let table = eval_query_table(ev, &as_select_all(&query), &mut ctx)?;
+            QueryResult::Bool(table.num_rows() > 0)
         }
         QueryForm::Construct(template) => {
-            let solutions = eval_query(ev, &as_select_all(&query), &mut ctx)?;
-            QueryResult::Graph(instantiate_template(template, &solutions))
+            let table = eval_query_table(ev, &as_select_all(&query), &mut ctx)?;
+            QueryResult::Graph(instantiate_template(template, &table, &ctx))
         }
         QueryForm::Describe(targets) => {
-            let solutions = if targets.iter().any(|t| matches!(t, TermPattern::Var(_))) {
-                eval_query(ev, &as_select_all(&query), &mut ctx)?
+            let table = if targets.iter().any(|t| matches!(t, TermPattern::Var(_))) {
+                Some(eval_query_table(ev, &as_select_all(&query), &mut ctx)?)
             } else {
-                Solutions {
-                    vars: Vec::new(),
-                    rows: Vec::new(),
-                }
+                None
             };
-            QueryResult::Graph(describe_terms(ev, targets, &solutions, &mut ctx)?)
+            QueryResult::Graph(describe_terms(ev, targets, table.as_ref(), &mut ctx)?)
         }
     };
     let out_rows = match &result {
@@ -150,7 +150,7 @@ pub(crate) fn run_query_result(
 
 /// Reshapes an ASK/CONSTRUCT/DESCRIBE query into the `SELECT *` over the
 /// same pattern and modifiers, so the shared evaluator produces the binding
-/// sequence the form consumes.
+/// table the form consumes.
 fn as_select_all(query: &s2rdf_sparql::Query) -> s2rdf_sparql::Query {
     let mut q = query.clone();
     q.form = QueryForm::Select;
@@ -159,21 +159,49 @@ fn as_select_all(query: &s2rdf_sparql::Query) -> s2rdf_sparql::Query {
     q
 }
 
-/// Instantiates a CONSTRUCT template once per solution; triples with an
-/// unbound or missing variable are skipped (SPARQL §16.2), duplicates are
-/// eliminated.
-fn instantiate_template(template: &[TriplePattern], solutions: &Solutions) -> Vec<Triple> {
+/// A template position resolved against the solution table once per
+/// query: a constant term, a column index, or a variable the table does
+/// not bind.
+enum Slot<'t> {
+    Term(&'t Term),
+    Column(usize),
+    Unbound,
+}
+
+fn slot<'t>(p: &'t TermPattern, table: &Table) -> Slot<'t> {
+    match p {
+        TermPattern::Term(t) => Slot::Term(t),
+        TermPattern::Var(v) => table
+            .schema()
+            .index_of(v)
+            .map_or(Slot::Unbound, Slot::Column),
+    }
+}
+
+/// Instantiates a CONSTRUCT template once per solution row; triples with
+/// an unbound or missing variable are skipped (SPARQL §16.2), duplicates
+/// are eliminated.
+fn instantiate_template(
+    template: &[TriplePattern],
+    table: &Table,
+    ctx: &ExecContext<'_>,
+) -> Vec<Triple> {
+    let slots: Vec<[Slot<'_>; 3]> = template
+        .iter()
+        .map(|tp| [slot(&tp.s, table), slot(&tp.p, table), slot(&tp.o, table)])
+        .collect();
     let mut triples = Vec::new();
     let mut seen: FxHashSet<Triple> = FxHashSet::default();
-    for row in 0..solutions.len() {
-        for tp in template {
-            let resolve = |p: &TermPattern| -> Option<Term> {
-                match p {
-                    TermPattern::Term(t) => Some(t.clone()),
-                    TermPattern::Var(v) => solutions.binding(row, v).cloned(),
+    for row in 0..table.num_rows() {
+        for [s, p, o] in &slots {
+            let resolve = |slot: &Slot<'_>| -> Option<Term> {
+                match *slot {
+                    Slot::Term(t) => Some(t.clone()),
+                    Slot::Column(c) => ctx.term_of(table.value(row, c)).cloned(),
+                    Slot::Unbound => None,
                 }
             };
-            if let (Some(s), Some(p), Some(o)) = (resolve(&tp.s), resolve(&tp.p), resolve(&tp.o)) {
+            if let (Some(s), Some(p), Some(o)) = (resolve(s), resolve(p), resolve(o)) {
                 let triple = Triple::new(s, p, o);
                 if seen.insert(triple.clone()) {
                     triples.push(triple);
@@ -185,12 +213,12 @@ fn instantiate_template(template: &[TriplePattern], solutions: &Solutions) -> Ve
 }
 
 /// DESCRIBE: for every target term (IRI targets directly, variable targets
-/// via their bindings in the pattern solutions), emit all triples where the
-/// term appears as subject or object.
+/// via their bindings in the pattern's solution table), emit all triples
+/// where the term appears as subject or object.
 fn describe_terms(
     ev: &dyn BgpEvaluator,
     targets: &[TermPattern],
-    solutions: &Solutions,
+    table: Option<&Table>,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Vec<Triple>, CoreError> {
     let mut terms: Vec<Term> = Vec::new();
@@ -203,8 +231,9 @@ fn describe_terms(
                 }
             }
             TermPattern::Var(v) => {
-                for row in 0..solutions.len() {
-                    if let Some(t) = solutions.binding(row, v) {
+                let column = table.and_then(|t| Some(t.column(t.schema().index_of(v)?)));
+                for &id in column.unwrap_or_default() {
+                    if let Some(t) = ctx.term_of(id) {
                         if seen_terms.insert(t.clone()) {
                             terms.push(t.clone());
                         }
@@ -488,5 +517,68 @@ mod tests {
         assert_eq!(out.num_rows(), 1);
         assert_eq!(out.schema().len(), 1);
         assert_eq!(out.value(0, 0), 0);
+    }
+
+    fn forms_store() -> crate::S2rdfStore {
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        crate::S2rdfStore::build(
+            &s2rdf_model::Graph::from_triples([
+                t("A", "follows", "B"),
+                t("A", "follows", "C"),
+                t("B", "likes", "I1"),
+            ]),
+            &crate::BuildOptions::default(),
+        )
+    }
+
+    #[test]
+    fn ask_answers_from_the_id_table() {
+        let store = forms_store();
+        let ask = |q: &str| store.query_result(q).unwrap();
+        assert_eq!(ask("ASK { ?x <follows> ?y }"), QueryResult::Bool(true));
+        assert_eq!(ask("ASK { ?x <follows> <A> }"), QueryResult::Bool(false));
+        assert_eq!(
+            ask("ASK { ?x <follows> ?y } LIMIT 0"),
+            QueryResult::Bool(false)
+        );
+        assert_eq!(
+            ask("ASK { ?x <follows> ?y } OFFSET 1"),
+            QueryResult::Bool(true)
+        );
+        assert_eq!(
+            ask("ASK { ?x <follows> ?y } OFFSET 2"),
+            QueryResult::Bool(false)
+        );
+        assert!(matches!(
+            store.query_result("ASK { ?x <follows> ?y } GROUP BY ?x"),
+            Err(CoreError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn construct_resolves_template_columns() {
+        let store = forms_store();
+        let r = store
+            .query_result(
+                "CONSTRUCT { ?y <followedBy> ?x . ?x <is> <Person> . ?x <knows> ?nope }
+                 WHERE { ?x <follows> ?y }",
+            )
+            .unwrap();
+        let QueryResult::Graph(mut triples) = r else {
+            panic!("CONSTRUCT returns a graph, got {r:?}");
+        };
+        triples.sort_by_key(|t| t.to_string());
+        let rendered: Vec<String> = triples.iter().map(Triple::to_string).collect();
+        // ?nope is not bound by the pattern, so its template triple is
+        // skipped; both rows bind ?x to <A>, so <A> <is> <Person> is
+        // deduplicated.
+        assert_eq!(
+            rendered,
+            [
+                "<A> <is> <Person> .",
+                "<B> <followedBy> <A> .",
+                "<C> <followedBy> <A> .",
+            ]
+        );
     }
 }

@@ -22,6 +22,7 @@ use s2rdf_sparql::TriplePattern;
 
 use crate::error::CoreError;
 
+pub(crate) use pattern::eval_query_table;
 pub use pattern::{compat_join, compat_left_outer_join, eval_pattern, eval_query, unit_table};
 pub use solution::Solutions;
 pub use trace::{SpanId, Trace, TraceNode};

@@ -407,19 +407,39 @@ pub fn eval_query(
     query: &Query,
     ctx: &mut ExecContext<'_>,
 ) -> Result<Solutions, CoreError> {
+    if !query.is_aggregate() {
+        let table = eval_query_table(ev, query, ctx)?;
+        return Ok(decode(&table, ctx));
+    }
+    // Aggregation path (SPARQL 1.1): group + aggregate on the binding
+    // table, then apply the solution modifiers on the decoded rows.
     let mut query = query.clone();
     optimizer::optimize(&mut query);
+    let table = eval_pattern(ev, &query.pattern, ctx)?;
+    let mut solutions = super::aggregate::aggregate_table(&table, &query, ctx)?;
+    super::aggregate::apply_modifiers(&mut solutions, &query);
+    ctx.check_deadline()?;
+    Ok(solutions)
+}
 
-    let mut table = eval_pattern(ev, &query.pattern, ctx)?;
-
+/// The id-level part of [`eval_query`] for a query without aggregation:
+/// optimize, evaluate the pattern, then apply ORDER BY → projection →
+/// DISTINCT → LIMIT/OFFSET. The result has one column per projected
+/// variable and still holds dictionary ids; forms that need no decoded
+/// solutions (ASK, CONSTRUCT, DESCRIBE) consume it directly.
+pub(crate) fn eval_query_table(
+    ev: &dyn BgpEvaluator,
+    query: &Query,
+    ctx: &mut ExecContext<'_>,
+) -> Result<Table, CoreError> {
     if query.is_aggregate() {
-        // Aggregation path (SPARQL 1.1): group + aggregate on the binding
-        // table, then apply the solution modifiers on the decoded rows.
-        let mut solutions = super::aggregate::aggregate_table(&table, &query, ctx)?;
-        super::aggregate::apply_modifiers(&mut solutions, &query);
-        ctx.check_deadline()?;
-        return Ok(solutions);
+        return Err(CoreError::Unsupported(
+            "GROUP BY/aggregates are only supported with SELECT".into(),
+        ));
     }
+    let mut query = query.clone();
+    optimizer::optimize(&mut query);
+    let mut table = eval_pattern(ev, &query.pattern, ctx)?;
 
     if !query.order_by.is_empty() {
         table = order_table(&table, &query.order_by, ctx)?;
@@ -436,7 +456,7 @@ pub fn eval_query(
     }
 
     ctx.check_deadline()?;
-    Ok(decode(&table, ctx))
+    Ok(table)
 }
 
 /// Projects a solution table to the given variables, adding an all-NULL
@@ -581,6 +601,8 @@ pub(crate) fn value_to_term(value: Value) -> Option<Term> {
 }
 
 /// Decodes a solution table to terms, skipping internal columns.
+///
+/// A cell is a shared-string [`Term`] clone, so decoding copies no text.
 fn decode(table: &Table, ctx: &ExecContext<'_>) -> Solutions {
     let mut vars = Vec::new();
     let mut cols = Vec::new();

@@ -28,7 +28,9 @@ impl TermId {
 /// Bidirectional term ↔ id dictionary.
 ///
 /// Ids are handed out densely in insertion order, so `terms[id]` decoding is
-/// a plain vector index.
+/// a plain vector index. Both directions hold the same shared-string
+/// [`Term`], so each term's text is stored once and a decoded clone is a
+/// reference-count bump.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     terms: Vec<Term>,
@@ -136,6 +138,44 @@ mod tests {
         assert_eq!(d.id(&Term::iri("missing")), None);
         assert_eq!(d.get(TermId(0)), None);
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn decoded_terms_share_one_allocation() {
+        use std::sync::Arc;
+        let mut d = Dictionary::new();
+        let iri = d.intern(&Term::iri("http://x/1"));
+        let lit = d.intern(&Term::lang_literal("chat", "fr"));
+        // Decoding clones a term; the clone must point at the same text.
+        match (d.term(iri), &d.term(iri).clone()) {
+            (Term::Iri(a), Term::Iri(b)) => assert!(Arc::ptr_eq(a, b)),
+            other => panic!("{other:?}"),
+        }
+        match (d.term(lit), &d.term(lit).clone()) {
+            (
+                Term::Literal {
+                    lexical: a,
+                    lang: Some(la),
+                    ..
+                },
+                Term::Literal {
+                    lexical: b,
+                    lang: Some(lb),
+                    ..
+                },
+            ) => assert!(Arc::ptr_eq(a, b) && Arc::ptr_eq(la, lb)),
+            other => panic!("{other:?}"),
+        }
+        // The id → term and term → id sides hold one allocation per term.
+        for (key, &id) in &d.ids {
+            match (key, d.term(id)) {
+                (Term::Iri(a), Term::Iri(b)) => assert!(Arc::ptr_eq(a, b)),
+                (Term::Literal { lexical: a, .. }, Term::Literal { lexical: b, .. }) => {
+                    assert!(Arc::ptr_eq(a, b))
+                }
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::ModelError;
 
@@ -16,36 +17,40 @@ pub const XSD_DECIMAL: &str = "http://www.w3.org/2001/XMLSchema#decimal";
 ///
 /// Literals carry an optional language tag or datatype IRI (mutually
 /// exclusive per the RDF 1.1 data model; a plain literal has neither).
+///
+/// Payloads are shared strings: cloning a term (decoding a result cell,
+/// interning into a dictionary) bumps reference counts and never copies
+/// the text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// An IRI reference such as `http://example.org/alice`.
-    Iri(String),
+    Iri(Arc<str>),
     /// A blank node with its local label (without the `_:` prefix).
-    BlankNode(String),
+    BlankNode(Arc<str>),
     /// A literal with optional language tag or datatype.
     Literal {
         /// The lexical form.
-        lexical: String,
+        lexical: Arc<str>,
         /// Language tag (e.g. `en`), exclusive with `datatype`.
-        lang: Option<String>,
+        lang: Option<Arc<str>>,
         /// Datatype IRI, exclusive with `lang`.
-        datatype: Option<String>,
+        datatype: Option<Arc<str>>,
     },
 }
 
 impl Term {
     /// Creates an IRI term.
-    pub fn iri(value: impl Into<String>) -> Term {
+    pub fn iri(value: impl Into<Arc<str>>) -> Term {
         Term::Iri(value.into())
     }
 
     /// Creates a blank node term.
-    pub fn blank(label: impl Into<String>) -> Term {
+    pub fn blank(label: impl Into<Arc<str>>) -> Term {
         Term::BlankNode(label.into())
     }
 
     /// Creates a plain (untyped, untagged) literal.
-    pub fn literal(lexical: impl Into<String>) -> Term {
+    pub fn literal(lexical: impl Into<Arc<str>>) -> Term {
         Term::Literal {
             lexical: lexical.into(),
             lang: None,
@@ -54,7 +59,7 @@ impl Term {
     }
 
     /// Creates a typed literal.
-    pub fn typed_literal(lexical: impl Into<String>, datatype: impl Into<String>) -> Term {
+    pub fn typed_literal(lexical: impl Into<Arc<str>>, datatype: impl Into<Arc<str>>) -> Term {
         Term::Literal {
             lexical: lexical.into(),
             lang: None,
@@ -63,7 +68,7 @@ impl Term {
     }
 
     /// Creates a language-tagged literal.
-    pub fn lang_literal(lexical: impl Into<String>, lang: impl Into<String>) -> Term {
+    pub fn lang_literal(lexical: impl Into<Arc<str>>, lang: impl Into<Arc<str>>) -> Term {
         Term::Literal {
             lexical: lexical.into(),
             lang: Some(lang.into()),
@@ -191,9 +196,9 @@ fn escape(s: &str) -> Cow<'_, str> {
     Cow::Owned(out)
 }
 
-fn unescape(s: &str) -> String {
+fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('\\') {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -210,7 +215,7 @@ fn unescape(s: &str) -> String {
             None => out.push('\\'),
         }
     }
-    out
+    Cow::Owned(out)
 }
 
 impl fmt::Display for Term {

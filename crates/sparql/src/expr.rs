@@ -102,7 +102,7 @@ impl Value {
                     return Ok(n != 0.0 && !n.is_nan());
                 }
                 match datatype.as_deref() {
-                    Some("http://www.w3.org/2001/XMLSchema#boolean") => Ok(lexical == "true"),
+                    Some("http://www.w3.org/2001/XMLSchema#boolean") => Ok(&**lexical == "true"),
                     Some("http://www.w3.org/2001/XMLSchema#string") | None => {
                         Ok(!lexical.is_empty())
                     }
@@ -203,9 +203,9 @@ impl Expression {
                     .ok_or_else(|| err("STR() of non-stringable value"))
             }
             Expression::Lang(e) => match e.eval(lookup)? {
-                Value::Term(Term::Literal { lang, .. }) => {
-                    Ok(Value::String(lang.unwrap_or_default()))
-                }
+                Value::Term(Term::Literal { lang, .. }) => Ok(Value::String(
+                    lang.as_deref().unwrap_or_default().to_string(),
+                )),
                 _ => Err(err("LANG() of non-literal")),
             },
         }
