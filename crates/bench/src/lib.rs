@@ -10,9 +10,10 @@
 //! | `repro_table5_il` | Table 5 / Fig. 15 (Incremental Linear across engines) |
 //! | `repro_table6_threshold` | Table 6 / Fig. 16 (SF-threshold sweep) |
 //!
-//! Criterion benches under `benches/` track the same artifacts as
-//! regression benchmarks plus micro/ablation benches (join-order on/off,
-//! parallel vs serial joins, ExtVP construction).
+//! `benches/micro.rs` holds the Criterion micro/ablation benches
+//! (join-order on/off, parallel vs serial joins, ExtVP construction).
+//! End-to-end and per-layer performance numbers come from the `benchmark`
+//! binary declared in `BENCHMARK.json`.
 
 use std::time::{Duration, Instant};
 

@@ -496,7 +496,7 @@ pub struct CompressedTable {
     pub(crate) body: Vec<u8>,
     /// Size of the whole serialized file (compressed footprint).
     pub(crate) file_bytes: usize,
-    /// Pre-decoded table for v1/v2 files wrapped in this interface, and
+    /// Pre-decoded table for v2 files wrapped in this interface, and
     /// the memoized full materialization for v3.
     pub(crate) materialized: OnceLock<Arc<Table>>,
 }
@@ -540,7 +540,7 @@ impl CompressedTable {
         }
     }
 
-    /// Wraps an already-decoded table (v1/v2 files) so the cache and scan
+    /// Wraps an already-decoded table (v2 files) so the cache and scan
     /// paths handle every format uniformly. No chunk metadata → no
     /// pruning, but also no re-decode: `materialize` is pre-seeded.
     pub fn from_plain(table: Arc<Table>, file_bytes: usize) -> CompressedTable {

@@ -894,14 +894,6 @@ pub fn partitioned_natural_join(
     )
 }
 
-/// Chooses between the serial, broadcast and partitioned join based on
-/// input statistics (default [`JoinConfig`] thresholds), discarding the
-/// decision record. Engines that surface decisions call
-/// [`natural_join_adaptive`] directly.
-pub fn natural_join_auto(left: &Table, right: &Table) -> Table {
-    natural_join_adaptive(left, right, &JoinConfig::default()).0
-}
-
 /// Canonical multiset form of a table's rows (sorted row vectors) — used by
 /// tests and by engine-equivalence checks, where row order is unspecified.
 pub fn row_multiset(table: &Table) -> Vec<Vec<u32>> {
@@ -1116,7 +1108,7 @@ mod tests {
     fn auto_dispatch_small_input() {
         let l = table(&["a", "k"], &[vec![1, 2]]);
         let r = table(&["k", "b"], &[vec![2, 3]]);
-        let j = natural_join_auto(&l, &r);
+        let (j, _) = natural_join_adaptive(&l, &r, &JoinConfig::default());
         assert_eq!(j.num_rows(), 1);
     }
 

@@ -17,14 +17,15 @@
 //!   without decoding anything; the trailing whole-file CRC still catches
 //!   every bit flip or truncation up front.
 //! * **v2**: one varint/RLE stream per column with a whole-file CRC-32
-//!   footer. Still readable (and writable via [`serialize_table_v2`] for
-//!   compatibility fixtures); `checkpoint` transparently rewrites v2
-//!   tables as v3.
-//! * **v1**: v2 without the footer. Readable only.
+//!   footer. Read-only: nothing writes v2 any more, and `checkpoint`
+//!   transparently rewrites v2 tables as v3.
+//!
+//! Any other version byte — including the footer-less v1 of the earliest
+//! stores — fails as `unsupported version`.
 //!
 //! # Durability
 //!
-//! Any bit flip or truncation of a stored v2/v3 table surfaces as
+//! Any bit flip or truncation of a stored table surfaces as
 //! [`ColumnarError::ChecksumMismatch`] instead of silently decoding to wrong
 //! data (or worse, decoding "successfully"). v3 per-chunk CRCs additionally
 //! localize the damage: [`TableStore::verify_chunks`] reports exactly which
@@ -62,10 +63,8 @@ const MAGIC: &[u8; 4] = b"S2CT";
 /// Current format version: chunked columns with zone maps (see
 /// [`crate::chunk`]), per-chunk CRCs, a header CRC and a whole-file footer.
 const VERSION_V3: u8 = 3;
-/// Monolithic per-column varint/RLE streams with a CRC-32 footer.
-const VERSION: u8 = 2;
-/// Legacy format without a checksum footer; still readable.
-const VERSION_V1: u8 = 1;
+/// Monolithic per-column varint/RLE streams with a CRC-32 footer; read-only.
+const VERSION_V2: u8 = 2;
 /// Footer: little-endian CRC-32 of all preceding bytes.
 const FOOTER_LEN: usize = 4;
 const ENC_PLAIN: u8 = 0;
@@ -110,53 +109,7 @@ pub(crate) fn read_varint(data: &[u8], pos: &mut usize) -> Result<u64, ColumnarE
     }
 }
 
-fn varint_len(v: u64) -> usize {
-    (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
-}
-
-/// Encodes one column, picking the smaller of plain-varint and RLE.
-fn encode_column(col: &[u32], out: &mut Vec<u8>) {
-    let mut plain_size = 0usize;
-    let mut rle_size = 0usize;
-    let mut i = 0;
-    while i < col.len() {
-        let mut run = 1;
-        while i + run < col.len() && col[i + run] == col[i] {
-            run += 1;
-        }
-        rle_size += varint_len(col[i] as u64) + varint_len(run as u64);
-        i += run;
-    }
-    for &v in col {
-        plain_size += varint_len(v as u64);
-    }
-
-    if rle_size < plain_size {
-        out.push(ENC_RLE);
-        let mut body = Vec::with_capacity(rle_size);
-        let mut i = 0;
-        while i < col.len() {
-            let mut run = 1;
-            while i + run < col.len() && col[i + run] == col[i] {
-                run += 1;
-            }
-            write_varint(&mut body, col[i] as u64);
-            write_varint(&mut body, run as u64);
-            i += run;
-        }
-        write_varint(out, body.len() as u64);
-        out.extend_from_slice(&body);
-    } else {
-        out.push(ENC_PLAIN);
-        let mut body = Vec::with_capacity(plain_size);
-        for &v in col {
-            write_varint(&mut body, v as u64);
-        }
-        write_varint(out, body.len() as u64);
-        out.extend_from_slice(&body);
-    }
-}
-
+/// Decodes one v2 column stream (a plain-varint or RLE body).
 fn decode_column(data: &[u8], pos: &mut usize, nrows: usize) -> Result<Vec<u32>, ColumnarError> {
     let tag = *data
         .get(*pos)
@@ -254,27 +207,6 @@ fn serialize_compressed(ct: &CompressedTable) -> Vec<u8> {
     out.extend_from_slice(&ct.body);
     let footer = crc32(&out);
     out.extend_from_slice(&footer.to_le_bytes());
-    out
-}
-
-/// Serializes a table into the legacy v2 format (one varint/RLE stream per
-/// column, whole-file CRC footer). Kept for backward-compatibility
-/// fixtures and the v2-vs-v3 size comparison in `bench_pr10`.
-pub fn serialize_table_v2(table: &Table) -> Vec<u8> {
-    let mut out = Vec::with_capacity(table.byte_size() / 2 + 64);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    write_varint(&mut out, table.schema().len() as u64);
-    for name in table.schema().names() {
-        write_varint(&mut out, name.len() as u64);
-        out.extend_from_slice(name.as_bytes());
-    }
-    write_varint(&mut out, table.num_rows() as u64);
-    for col in table.columns() {
-        encode_column(col, &mut out);
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -460,7 +392,7 @@ fn parse_compressed_v3(data: &[u8]) -> Result<CompressedTable, ColumnarError> {
 }
 
 /// Parses any supported format into the compressed representation: v3
-/// stays compressed (chunks decode on demand); v1/v2 decode fully and are
+/// stays compressed (chunks decode on demand); v2 decodes fully and is
 /// wrapped via [`CompressedTable::from_plain`]. `verify_footer` controls
 /// whether the v3 whole-file CRC is checked (physical reads do; chunk
 /// diagnostics do not).
@@ -478,9 +410,9 @@ fn parse_compressed(data: &[u8], verify_footer: bool) -> Result<CompressedTable,
 
 /// Deserializes a table from the columnar file format.
 ///
-/// Accepts the current v3 chunked format, v2, and legacy v1 files without
-/// a footer. v2/v3 are checksum-verified — the whole-file footer is
-/// checked *first*, so any single corrupt byte yields
+/// Accepts the current v3 chunked format and legacy v2. Both are
+/// checksum-verified — the whole-file footer is checked *first*, so any
+/// single corrupt byte yields
 /// [`ColumnarError::ChecksumMismatch`] regardless of where it landed.
 /// Designed to be total over arbitrary input bytes: corrupt data of any
 /// shape produces an `Err`, never a panic or unbounded allocation.
@@ -489,8 +421,7 @@ pub fn deserialize_table(data: &[u8]) -> Result<Table, ColumnarError> {
         return Err(ColumnarError::CorruptFile("bad magic".into()));
     }
     let body_end = match data[4] {
-        VERSION_V1 => data.len(),
-        VERSION => check_footer(data)?,
+        VERSION_V2 => check_footer(data)?,
         VERSION_V3 => {
             check_footer(data)?;
             let ct = parse_compressed_v3(data)?;
@@ -544,10 +475,8 @@ pub fn deserialize_table(data: &[u8]) -> Result<Table, ColumnarError> {
     for _ in 0..ncols {
         cols.push(decode_column(data, &mut pos, nrows)?);
     }
-    // Reject trailing bytes. Besides catching garbage appended to a file,
-    // this closes a downgrade hole: flipping the version byte of a v2 file
-    // to v1 would otherwise skip checksum verification and parse cleanly,
-    // with the orphaned footer silently ignored.
+    // Reject trailing bytes: the declared columns must account for the
+    // whole checksummed body, so nothing unread can hide before the footer.
     if pos != data.len() {
         return Err(ColumnarError::CorruptFile(format!(
             "{} trailing bytes after table body",
@@ -754,9 +683,6 @@ pub struct TableStore {
     /// Chunking/Bloom knobs for subsequent saves (`--chunk-rows`,
     /// `--no-bloom`).
     write_opts: WriteOptions,
-    /// Write the legacy v2 format instead of v3 — a hook for
-    /// backward-compat fixtures and the v2-vs-v3 benchmark comparison.
-    legacy_v2_writes: bool,
 }
 
 impl TableStore {
@@ -777,7 +703,6 @@ impl TableStore {
             faults: None,
             cache: Mutex::new(BodyCache::default()),
             write_opts: WriteOptions::default(),
-            legacy_v2_writes: false,
         };
         let manifest_path = store.manifest_path();
         if manifest_path.exists() {
@@ -967,12 +892,6 @@ impl TableStore {
         self.write_opts
     }
 
-    /// Makes subsequent saves emit the legacy v2 format — for
-    /// backward-compat fixtures and size comparisons, not production use.
-    pub fn set_legacy_v2_writes(&mut self, on: bool) {
-        self.legacy_v2_writes = on;
-    }
-
     /// Orphaned `t*.col` files discovered when the store was opened: present
     /// on disk but referenced by no manifest entry. A non-empty list
     /// indicates an interrupted save (the table file landed but its manifest
@@ -1000,11 +919,7 @@ impl TableStore {
                 f
             }
         };
-        let mut data = if self.legacy_v2_writes {
-            serialize_table_v2(table)
-        } else {
-            serialize_table_opts(table, &self.write_opts)
-        };
+        let mut data = serialize_table_opts(table, &self.write_opts);
         if let Some(faults) = &self.faults {
             if let Err(e) = faults.before_write(name) {
                 metric_counter!("columnar.io.fault_write_errors").inc();
@@ -1081,9 +996,9 @@ impl TableStore {
         Ok(table)
     }
 
-    /// Fast integrity probe of one table's on-disk bytes: verifies the v2
-    /// CRC footer over the raw file **without decoding** (v1 files, having
-    /// no footer, fall back to a full decode). Reads the actual disk state,
+    /// Fast integrity probe of one table's on-disk bytes: verifies the
+    /// whole-file CRC footer over the raw file **without decoding**. Reads
+    /// the actual disk state,
     /// bypassing any attached fault injector — this is a diagnostic for
     /// sweeps (quarantine scans, `verify`), not a data access, and is
     /// counted separately from `columnar.io.tables_read`.
@@ -1170,7 +1085,7 @@ impl TableStore {
     /// disk (bypassing cache and fault injector). For v3 files whose
     /// header parses, returns which chunks fail their CRC — an intact
     /// chunk directory with a damaged body localizes corruption to a few
-    /// row ranges. For v2/v1 files (no per-chunk CRCs) the whole file is
+    /// row ranges. For v2 files (no per-chunk CRCs) the whole file is
     /// one "chunk": the report has `total == 1` and lists it as corrupt
     /// iff the full decode fails.
     pub fn verify_chunks(&self, name: &str) -> Result<ChunkVerifyReport, ColumnarError> {
@@ -1195,16 +1110,13 @@ impl TableStore {
         })
     }
 
-    /// Rewrites every v1/v2 file in the store in the current (v3) format,
+    /// Rewrites every v2 file in the store in the current (v3) format,
     /// returning how many were upgraded. Called from checkpoints so stores
     /// created before the chunked format converge to it without an
     /// explicit migration step. Files already in v3 are left untouched
     /// (their bytes are not rewritten, preserving mtimes and avoiding
     /// needless churn).
     pub fn upgrade_legacy(&mut self) -> Result<usize, ColumnarError> {
-        if self.legacy_v2_writes {
-            return Ok(0);
-        }
         let mut legacy: Vec<String> = Vec::new();
         for (name, entry) in &self.manifest {
             let path = self.root.join(&entry.file);
@@ -1312,15 +1224,13 @@ impl TableStore {
 }
 
 /// Checks a raw serialized table image's integrity without decoding it:
-/// magic, version, and (for v2/v3) the whole-file CRC-32 footer. v1
-/// images carry no footer, so the only verification possible is a full
-/// decode.
+/// magic, version, and the whole-file CRC-32 footer.
 fn verify_raw_checksum(data: &[u8]) -> Result<(), ColumnarError> {
     if data.len() < 5 || &data[..4] != MAGIC {
         return Err(ColumnarError::CorruptFile("bad magic".into()));
     }
     match data[4] {
-        VERSION | VERSION_V3 => {
+        VERSION_V2 | VERSION_V3 => {
             if data.len() < 5 + FOOTER_LEN {
                 return Err(ColumnarError::CorruptFile(
                     "truncated checksum footer".into(),
@@ -1335,7 +1245,6 @@ fn verify_raw_checksum(data: &[u8]) -> Result<(), ColumnarError> {
             }
             Ok(())
         }
-        VERSION_V1 => deserialize_table(data).map(|_| ()),
         other => Err(ColumnarError::CorruptFile(format!(
             "unsupported version {other}"
         ))),
@@ -1375,17 +1284,6 @@ mod tests {
     }
 
     #[test]
-    fn rle_beats_plain_on_constant_columns() {
-        // v2-specific encoding property (v3 compresses both sides well, so
-        // compare on the legacy serializer where the gap is meaningful).
-        let constant = Table::from_columns(Schema::new(["c"]), vec![vec![42; 10_000]]);
-        let varied = Table::from_columns(Schema::new(["c"]), vec![(0..10_000u32).collect()]);
-        let small = serialize_table_v2(&constant).len();
-        let large = serialize_table_v2(&varied).len();
-        assert!(small * 100 < large, "RLE column {small}B vs plain {large}B");
-    }
-
-    #[test]
     fn corrupt_inputs_rejected() {
         assert!(deserialize_table(b"oops").is_err());
         let mut bytes = serialize_table(&sample());
@@ -1418,33 +1316,49 @@ mod tests {
         ));
     }
 
+    /// Hand-builds a v2 image of one column `c` with a correct CRC-32
+    /// footer: `nrows` as declared, then one `enc`-tagged column body.
+    fn v2_one_column(nrows: u64, enc: u8, body: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(VERSION_V2);
+        write_varint(&mut bytes, 1); // 1 column
+        write_varint(&mut bytes, 1);
+        bytes.push(b'c');
+        write_varint(&mut bytes, nrows);
+        bytes.push(enc);
+        write_varint(&mut bytes, body.len() as u64);
+        bytes.extend_from_slice(body);
+        let crc = crc32(&bytes);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn v1_files_without_footer_still_load() {
-        // Hand-build a v1 image: the v2 body minus footer, version byte 1.
-        let t = sample();
-        let v2 = serialize_table_v2(&t);
+    fn v1_files_are_rejected() {
+        let v2 = v2_one_column(2, ENC_RLE, &[7, 2]);
+        let expected = Table::from_columns(Schema::new(["c"]), vec![vec![7, 7]]);
+        assert_eq!(deserialize_table(&v2).unwrap(), expected);
+        // v1 was the same body without the footer, under version byte 1.
         let mut v1 = v2[..v2.len() - FOOTER_LEN].to_vec();
-        v1[4] = VERSION_V1;
-        assert_eq!(deserialize_table(&v1).unwrap(), t);
+        v1[4] = 1;
+        match deserialize_table(&v1) {
+            Err(ColumnarError::CorruptFile(msg)) => assert_eq!(msg, "unsupported version 1"),
+            other => panic!("v1 image must be rejected, got {other:?}"),
+        }
     }
 
     #[test]
     fn hostile_dimensions_rejected_not_allocated() {
         // Header claiming u64::MAX rows must fail fast, not abort on OOM.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.push(VERSION_V1); // v1: no footer needed for a hand-built image
-        write_varint(&mut bytes, 1); // 1 column
-        write_varint(&mut bytes, 1);
-        bytes.push(b'c');
-        write_varint(&mut bytes, u64::MAX); // absurd row count
-        bytes.push(ENC_RLE);
         let mut body = Vec::new();
         write_varint(&mut body, 7);
         write_varint(&mut body, u64::MAX); // absurd run length
-        write_varint(&mut bytes, body.len() as u64);
-        bytes.extend_from_slice(&body);
-        assert!(deserialize_table(&bytes).is_err());
+        let bytes = v2_one_column(u64::MAX, ENC_RLE, &body);
+        // The footer is valid, so decoding reaches the cell-limit check.
+        match deserialize_table(&bytes) {
+            Err(ColumnarError::CorruptFile(msg)) => assert!(msg.contains("cell limit"), "{msg}"),
+            other => panic!("hostile dimensions must be rejected, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1662,33 +1576,6 @@ mod tests {
         store.load("t0").unwrap();
         store.load("t2").unwrap();
         assert_eq!(store.cached_tables(), 4);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_v2_write_mode_roundtrips_and_upgrades() {
-        let dir = std::env::temp_dir().join(format!("s2ct-v2mode-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let t = sample();
-        {
-            let mut store = TableStore::open(&dir).unwrap();
-            store.set_legacy_v2_writes(true);
-            store.save("t", &t).unwrap();
-        }
-        let mut store = TableStore::open(&dir).unwrap();
-        let file = store.manifest.get("t").unwrap().file.clone();
-        let raw = fs::read(dir.join(&file)).unwrap();
-        assert_eq!(raw[4], VERSION, "legacy mode must write v2");
-        assert_eq!(*store.load("t").unwrap(), t);
-        // Upgrade rewrites it as v3 with identical contents.
-        assert_eq!(store.upgrade_legacy().unwrap(), 1);
-        let file = store.manifest.get("t").unwrap().file.clone();
-        let raw = fs::read(dir.join(&file)).unwrap();
-        assert_eq!(raw[4], VERSION_V3, "upgrade must write v3");
-        store.clear_cache();
-        assert_eq!(*store.load("t").unwrap(), t);
-        // Second pass is a no-op.
-        assert_eq!(store.upgrade_legacy().unwrap(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,16 +1,16 @@
 //! Adversarial tests for the on-disk formats: the columnar table format
-//! (v3 chunked, checksummed; v2/v1 legacy) and the write-ahead log.
+//! (v3 chunked, checksummed; v2 legacy, read-only) and the write-ahead log.
 //!
 //! Properties the store depends on for fault tolerance:
 //!
 //! 1. `deserialize_table` is *total*: arbitrary input bytes produce an
 //!    `Err`, never a panic or an unbounded allocation.
 //! 2. Any single-byte mutation or truncation of a valid current-format
-//!    file is detected — the whole-file CRC-32 footer (and the
-//!    trailing-bytes check, which closes version-byte downgrade holes)
-//!    guarantees corrupt data never decodes silently.
-//! 3. Legacy v1 files (no footer) written before the checksum existed
-//!    still load byte-for-byte identically, from a checked-in fixture.
+//!    file is detected — the whole-file CRC-32 footer covers the version
+//!    byte too, so corrupt data never decodes silently.
+//! 3. Legacy v2 files, which nothing writes any more, still load
+//!    byte-for-byte identically from a checked-in fixture, and the
+//!    footer-less v1 format is rejected as an unsupported version.
 //! 4. Every chunk encoding round-trips arbitrary `u32` columns
 //!    bit-exactly, at both the chunk and whole-file level.
 //! 5. WAL replay (`wal::scan_records`) is total too, and any damage —
@@ -36,17 +36,17 @@ fn sample() -> Table {
     )
 }
 
-/// The checked-in v1 fixture (written before the checksum footer existed)
-/// must keep loading, and re-serializing it must produce a current-format
-/// (v3 chunked) file.
+/// The checked-in v2 fixture (one plain and one RLE column) must keep
+/// loading, and re-serializing it must produce a current-format (v3
+/// chunked) file.
 #[test]
-fn v1_fixture_still_loads() {
-    let bytes: &[u8] = include_bytes!("fixtures/v1_sample.s2ct");
-    assert_eq!(bytes[4], 1, "fixture must stay a v1 file");
-    let table = deserialize_table(bytes).expect("v1 fixture must load");
+fn v2_fixture_still_loads() {
+    let bytes: &[u8] = include_bytes!("fixtures/v2_sample.s2ct");
+    assert_eq!(bytes[4], 2, "fixture must stay a v2 file");
+    let table = deserialize_table(bytes).expect("v2 fixture must load");
     let expected = Table::from_columns(
         Schema::new(["s", "o"]),
-        vec![vec![1, 2, 3], vec![10, 10, 20]],
+        vec![vec![1, 2, 3, 4, 5], vec![10, 10, 10, 10, 20]],
     );
     assert_eq!(table, expected);
     // Round-tripping upgrades to the current checksummed chunked format.
@@ -55,17 +55,23 @@ fn v1_fixture_still_loads() {
     assert_eq!(deserialize_table(&v3).unwrap(), expected);
 }
 
-/// Flipping the version byte of a current-format file down to v2 or v1
-/// must not bypass checksum verification (the CRC covers the version
-/// byte, and the v1 trailing-bytes check rejects the leftover footer).
+/// Flipping the version byte of a current-format file down to v2 must not
+/// bypass checksum verification (the CRC covers the version byte), and v1
+/// is no longer a readable version at all.
 #[test]
 fn version_downgrade_is_rejected() {
     let bytes = serialize_table(&sample());
     assert_eq!(bytes[4], 3);
-    for down in [1u8, 2] {
-        let mut m = bytes.clone();
-        m[4] = down;
-        assert!(deserialize_table(&m).is_err(), "downgrade to v{down}");
+    let mut m = bytes.clone();
+    m[4] = 2;
+    assert!(matches!(
+        deserialize_table(&m),
+        Err(ColumnarError::ChecksumMismatch { .. })
+    ));
+    m[4] = 1;
+    match deserialize_table(&m) {
+        Err(ColumnarError::CorruptFile(msg)) => assert_eq!(msg, "unsupported version 1"),
+        other => panic!("downgrade to v1 must be rejected, got {other:?}"),
     }
 }
 
@@ -262,7 +268,7 @@ proptest! {
         let _ = deserialize_table(&data);
     }
 
-    /// Every single-byte mutation of a valid v2 file must be detected.
+    /// Every single-byte mutation of a valid v3 file must be detected.
     #[test]
     fn prop_single_byte_mutation_errors(idx in any::<usize>(), xor in 1u8..=255) {
         let mut bytes = serialize_table(&sample());
@@ -274,7 +280,7 @@ proptest! {
         );
     }
 
-    /// Every proper-prefix truncation of a valid v2 file must be detected.
+    /// Every proper-prefix truncation of a valid v3 file must be detected.
     #[test]
     fn prop_truncation_errors(cut in any::<usize>()) {
         let bytes = serialize_table(&sample());

@@ -1,11 +1,11 @@
 //! Property tests for the partition-native parallel join: for *any* input
 //! tables, partition count, and key distribution — including the crafted
 //! 90 %-hot-key skew the broadcast splitter exists for — `par_natural_join`
-//! and `natural_join_auto` must be indistinguishable up to row order
+//! and `natural_join_adaptive` must be indistinguishable up to row order
 //! (multiset semantics; the schema must match exactly).
 
 use proptest::prelude::*;
-use s2rdf_columnar::exec::{natural_join_auto, par_natural_join, row_multiset};
+use s2rdf_columnar::exec::{natural_join_adaptive, par_natural_join, row_multiset, JoinConfig};
 use s2rdf_columnar::ops::natural_join;
 use s2rdf_columnar::{Schema, Table};
 
@@ -99,8 +99,8 @@ proptest! {
         prop_assert_eq!(row_multiset(&par), row_multiset(&ser));
     }
 
-    /// `natural_join_auto` (the engine entry point) agrees with the serial
-    /// join regardless of which path it dispatches to.
+    /// `natural_join_adaptive` at default options (the engine entry point)
+    /// agrees with the serial join regardless of which path it dispatches to.
     #[test]
     fn auto_dispatch_matches_serial(
         left in proptest::collection::vec((0u32..8, 0u32..1000), 0..120),
@@ -109,7 +109,7 @@ proptest! {
         let l = mk2(["k", "a"], &left);
         let r = mk2(["k", "b"], &right);
         prop_assert_eq!(
-            row_multiset(&natural_join_auto(&l, &r)),
+            row_multiset(&natural_join_adaptive(&l, &r, &JoinConfig::default()).0),
             row_multiset(&natural_join(&l, &r))
         );
     }

@@ -11,8 +11,7 @@
 //!   `ExtVP_p1|p2` reduction *is* the fraction of `VP_p1` that survives a
 //!   join with `VP_p2` — paper §5.3),
 //! * a [`CostModel`] mapping (build, probe, output) row counts to
-//!   microseconds, with constants calibrated against measured per-join
-//!   `wall_micros` samples ([`CostModel::calibrate`]),
+//!   microseconds, with constants fitted to measured per-join wall times,
 //! * [`plan_order`]: exact left-deep enumeration (DPsize over subsets) for
 //!   small BGPs, falling back to the greedy Algorithm 4 order — with the
 //!   cross-join fallback fixed to prefer the smallest table — above the
@@ -73,29 +72,14 @@ impl OrderMethod {
     }
 }
 
-/// One measured join, used to calibrate the [`CostModel`] constants
-/// against reality (the `columnar.*_join.wall_micros` histograms and the
-/// per-join [`crate::exec::JoinExplain`] records supply these).
-#[derive(Debug, Clone, Copy)]
-pub struct JoinSample {
-    /// Rows hashed into the build side.
-    pub build_rows: usize,
-    /// Rows probed.
-    pub probe_rows: usize,
-    /// Rows produced.
-    pub out_rows: usize,
-    /// Measured wall time of the join, in microseconds.
-    pub wall_micros: u64,
-}
-
 /// Linear per-row cost model for one hash join:
 /// `cost = build·c_build + probe·c_probe + out·c_out` (microseconds).
 ///
-/// The defaults come from calibrating against the per-join `wall_micros`
-/// histograms collected by the metrics layer on the WatDiv SF1 IL workload
-/// (see `bench_pr7`, which re-runs the calibration and reports the fitted
-/// constants in `BENCH_pr7.json`). Only the *ratios* matter for ordering;
-/// the absolute scale matters only when reading reported costs as time.
+/// The defaults are a least-squares fit of the three constants to
+/// measured per-join wall times (the `wall_micros` of
+/// [`crate::exec::JoinExplain`]) on the WatDiv SF1 IL workload. Only the
+/// *ratios* matter for ordering; the absolute scale matters only when
+/// reading reported costs as time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Microseconds per build-side row (hash insert).
@@ -108,9 +92,8 @@ pub struct CostModel {
 
 impl Default for CostModel {
     fn default() -> Self {
-        // Calibrated on WatDiv SF1 (bench_pr7 `cost_model` section):
-        // building a hash table costs roughly 2.5× a probe, materializing
-        // an output row roughly 1.5× a probe.
+        // Fitted on WatDiv SF1: building a hash table costs roughly 2.5×
+        // a probe, materializing an output row roughly 1.5× a probe.
         CostModel {
             build_micros_per_row: 0.025,
             probe_micros_per_row: 0.010,
@@ -126,95 +109,6 @@ impl CostModel {
             + probe_rows * self.probe_micros_per_row
             + out_rows * self.out_micros_per_row
     }
-
-    /// Fits the three per-row constants to measured joins by least squares
-    /// (3×3 normal equations). Falls back to scaling the default ratios so
-    /// that the *total* predicted time matches the total measured time
-    /// whenever the system is degenerate (fewer than three independent
-    /// samples, or a fit with non-positive coefficients — physically
-    /// meaningless and unusable for ordering).
-    pub fn calibrate(samples: &[JoinSample]) -> CostModel {
-        let fallback = |samples: &[JoinSample]| -> CostModel {
-            let d = CostModel::default();
-            let mut predicted = 0.0;
-            let mut measured = 0.0;
-            for s in samples {
-                predicted +=
-                    d.join_cost(s.build_rows as f64, s.probe_rows as f64, s.out_rows as f64);
-                measured += s.wall_micros as f64;
-            }
-            if predicted <= 0.0 || measured <= 0.0 {
-                return d;
-            }
-            let k = measured / predicted;
-            CostModel {
-                build_micros_per_row: d.build_micros_per_row * k,
-                probe_micros_per_row: d.probe_micros_per_row * k,
-                out_micros_per_row: d.out_micros_per_row * k,
-            }
-        };
-        if samples.len() < 3 {
-            return fallback(samples);
-        }
-        // Normal equations A^T A x = A^T y for A = [build probe out].
-        let mut ata = [[0.0f64; 3]; 3];
-        let mut aty = [0.0f64; 3];
-        for s in samples {
-            let row = [s.build_rows as f64, s.probe_rows as f64, s.out_rows as f64];
-            for i in 0..3 {
-                for j in 0..3 {
-                    ata[i][j] += row[i] * row[j];
-                }
-                aty[i] += row[i] * s.wall_micros as f64;
-            }
-        }
-        let Some(x) = solve3(ata, aty) else {
-            return fallback(samples);
-        };
-        if x.iter().any(|&c| !c.is_finite() || c <= 0.0) {
-            return fallback(samples);
-        }
-        CostModel {
-            build_micros_per_row: x[0],
-            probe_micros_per_row: x[1],
-            out_micros_per_row: x[2],
-        }
-    }
-}
-
-/// Solves a 3×3 linear system by Gaussian elimination with partial
-/// pivoting. Returns `None` when (near-)singular.
-fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
-    for col in 0..3 {
-        let pivot = (col..3).max_by(|&i, &j| {
-            a[i][col]
-                .abs()
-                .partial_cmp(&a[j][col].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })?;
-        if a[pivot][col].abs() < 1e-9 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        let pivot_row = a[col];
-        for row in (col + 1)..3 {
-            let f = a[row][col] / pivot_row[col];
-            for (entry, &p) in a[row].iter_mut().zip(pivot_row.iter()).skip(col) {
-                *entry -= f * p;
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    let mut x = [0.0f64; 3];
-    for row in (0..3).rev() {
-        let mut acc = b[row];
-        for k in (row + 1)..3 {
-            acc -= a[row][k] * x[k];
-        }
-        x[row] = acc / a[row][row];
-    }
-    Some(x)
 }
 
 /// One node of the join graph: a triple pattern with its cardinality
@@ -700,60 +594,6 @@ mod tests {
 
     fn c(name: &str) -> TermPattern {
         TermPattern::Term(s2rdf_model::Term::iri(name))
-    }
-
-    #[test]
-    fn calibrate_recovers_exact_linear_model() {
-        let truth = CostModel {
-            build_micros_per_row: 0.04,
-            probe_micros_per_row: 0.01,
-            out_micros_per_row: 0.02,
-        };
-        let mut samples = Vec::new();
-        for (b, p, o) in [
-            (1000usize, 5000usize, 700usize),
-            (200, 90000, 12000),
-            (40000, 40000, 40000),
-            (10, 100, 5),
-            (7000, 300, 9000),
-        ] {
-            samples.push(JoinSample {
-                build_rows: b,
-                probe_rows: p,
-                out_rows: o,
-                wall_micros: truth.join_cost(b as f64, p as f64, o as f64).round() as u64,
-            });
-        }
-        let fitted = CostModel::calibrate(&samples);
-        assert!((fitted.build_micros_per_row - truth.build_micros_per_row).abs() < 1e-3);
-        assert!((fitted.probe_micros_per_row - truth.probe_micros_per_row).abs() < 1e-3);
-        assert!((fitted.out_micros_per_row - truth.out_micros_per_row).abs() < 1e-3);
-    }
-
-    #[test]
-    fn calibrate_degenerate_falls_back_to_scaled_defaults() {
-        // All samples identical: singular normal equations.
-        let samples = vec![
-            JoinSample {
-                build_rows: 100,
-                probe_rows: 100,
-                out_rows: 100,
-                wall_micros: 50,
-            };
-            5
-        ];
-        let fitted = CostModel::calibrate(&samples);
-        let d = CostModel::default();
-        // Ratios preserved from the defaults.
-        let r = fitted.build_micros_per_row / d.build_micros_per_row;
-        assert!(r.is_finite() && r > 0.0);
-        assert!(
-            (fitted.probe_micros_per_row / d.probe_micros_per_row - r).abs() < 1e-9,
-            "ratios must be preserved"
-        );
-        // Total predicted time matches total measured.
-        let total: f64 = (0..5).map(|_| fitted.join_cost(100.0, 100.0, 100.0)).sum();
-        assert!((total - 250.0).abs() < 1e-6);
     }
 
     #[test]

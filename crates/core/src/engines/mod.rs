@@ -392,7 +392,7 @@ pub(crate) fn scan_pattern(
 /// `sideways` names a variable of this pattern plus the filter built from
 /// the already-evaluated join side; a variable the pattern doesn't bind is
 /// ignored (filter applicability is the caller's heuristic, correctness is
-/// local). Returns `None` for non-chunked (legacy v1/v2) bodies, where the
+/// local). Returns `None` for non-chunked (legacy v2) bodies, where the
 /// caller should fall back to the materialized path.
 pub(crate) fn scan_pattern_pruned(
     ct: &s2rdf_columnar::CompressedTable,
@@ -580,5 +580,50 @@ mod tests {
                 "<C> <followedBy> <A> .",
             ]
         );
+    }
+
+    /// The baseline engines join through the caller's `QueryOptions.join`:
+    /// with the serial threshold at zero the small build side broadcasts,
+    /// and the answer is the one default options give.
+    #[test]
+    fn baseline_engines_honour_join_options() {
+        use s2rdf_columnar::exec::JoinConfig;
+        use s2rdf_columnar::metrics;
+
+        let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+        let graph = s2rdf_model::Graph::from_triples([
+            t("A", "follows", "B"),
+            t("B", "follows", "C"),
+            t("C", "likes", "I1"),
+            t("C", "likes", "I2"),
+        ]);
+        let engines: [Box<dyn SparqlEngine>; 2] = [
+            Box::new(triples_table::TriplesTableEngine::new(&graph)),
+            Box::new(property_table::PropertyTableEngine::new(&graph)),
+        ];
+        let forced = QueryOptions {
+            join: JoinConfig {
+                serial_row_threshold: 0,
+                ..JoinConfig::default()
+            },
+            ..QueryOptions::default()
+        };
+        let q = "SELECT * WHERE { ?x <follows> ?y . ?y <likes> ?z }";
+        let _guard = metrics::test_lock();
+        let broadcasts = metrics::counter("columnar.join.broadcast_joins");
+        for engine in &engines {
+            let want = engine.query(q).unwrap().canonical();
+            assert_eq!(want.len(), 2, "{}", engine.name());
+            metrics::set_enabled(true);
+            let before = broadcasts.get();
+            let (got, _) = engine.query_opt(q, &forced).unwrap();
+            metrics::set_enabled(false);
+            assert!(
+                broadcasts.get() > before,
+                "{} ignored the join options",
+                engine.name()
+            );
+            assert_eq!(got.canonical(), want, "{}", engine.name());
+        }
     }
 }

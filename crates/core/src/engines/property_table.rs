@@ -6,7 +6,7 @@
 //! Patterns with unbound predicates fall back to the triples table (as in
 //! S2RDF itself).
 
-use s2rdf_columnar::exec::natural_join_auto;
+use s2rdf_columnar::exec::natural_join_adaptive;
 use s2rdf_columnar::{Schema, Table};
 use s2rdf_model::{Dictionary, Graph, TermId};
 use s2rdf_sparql::{TermPattern, TriplePattern};
@@ -305,7 +305,7 @@ impl BgpEvaluator for PropertyTableEngine {
                 });
             let part = remaining.swap_remove(next);
             let span = ctx.span_open("join");
-            let joined = natural_join_auto(&result, &part);
+            let joined = natural_join_adaptive(&result, &part, &ctx.options.join).0;
             ctx.span_close(
                 span,
                 format!(

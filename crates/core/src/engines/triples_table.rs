@@ -8,7 +8,7 @@
 
 use rustc_hash::FxHashMap;
 
-use s2rdf_columnar::exec::natural_join_auto;
+use s2rdf_columnar::exec::natural_join_adaptive;
 use s2rdf_columnar::Table;
 use s2rdf_model::{Dictionary, Graph, TermId};
 use s2rdf_sparql::{TermPattern, TriplePattern};
@@ -92,7 +92,7 @@ impl BgpEvaluator for TriplesTableEngine {
                 None => scanned,
                 Some(acc) => {
                     let span = ctx.span_open("join");
-                    let joined = natural_join_auto(&acc, &scanned);
+                    let joined = natural_join_adaptive(&acc, &scanned, &ctx.options.join).0;
                     ctx.span_close(
                         span,
                         format!(

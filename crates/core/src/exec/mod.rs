@@ -148,8 +148,8 @@ pub struct JoinExplain {
     /// engine had no estimate (baseline engines, pattern-level joins).
     pub est_out_rows: Option<u64>,
     /// Measured wall time of the join in microseconds — the per-join
-    /// sample the cost model is calibrated against
-    /// ([`crate::compiler::cost::CostModel::calibrate`]).
+    /// sample the default [`crate::compiler::cost::CostModel`] constants
+    /// were fitted to.
     pub wall_micros: u64,
 }
 

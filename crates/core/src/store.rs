@@ -101,9 +101,6 @@ pub struct S2rdfStore {
     /// Chunked-format write options applied to every table flush
     /// ([`S2rdfStore::save`], checkpoints).
     write_opts: s2rdf_columnar::WriteOptions,
-    /// Write tables in the legacy v2 format (fixture generation and
-    /// format-compatibility testing only).
-    legacy_v2_writes: bool,
 }
 
 /// Mutable bookkeeping of the update subsystem.
@@ -162,7 +159,7 @@ pub struct CheckpointReport {
     pub tables_removed: usize,
     /// Orphaned table files from interrupted earlier flushes deleted.
     pub orphans_removed: usize,
-    /// Legacy-format (v1/v2) table files rewritten in the current chunked
+    /// Legacy-format (v2) table files rewritten in the current chunked
     /// v3 format.
     pub tables_upgraded: usize,
     /// New dictionary terms persisted.
@@ -210,7 +207,6 @@ impl S2rdfStore {
             faults: None,
             update: UpdateState::default(),
             write_opts: s2rdf_columnar::WriteOptions::default(),
-            legacy_v2_writes: false,
         }
     }
 
@@ -221,16 +217,6 @@ impl S2rdfStore {
         self.write_opts = opts;
         if let Some(disk) = &mut self.disk {
             disk.set_write_options(opts);
-        }
-    }
-
-    /// Makes every subsequent table flush use the legacy v2 (whole-column)
-    /// format instead of v3 — for generating compatibility fixtures and
-    /// testing the upgrade path; not meant for production stores.
-    pub fn set_legacy_v2_writes(&mut self, on: bool) {
-        self.legacy_v2_writes = on;
-        if let Some(disk) = &mut self.disk {
-            disk.set_legacy_v2_writes(on);
         }
     }
 
@@ -660,7 +646,6 @@ impl S2rdfStore {
         std::fs::create_dir_all(dir).map_err(|e| CoreError::Catalog(e.to_string()))?;
         let mut tables = TableStore::open(dir.join("tables"))?;
         tables.set_write_options(self.write_opts);
-        tables.set_legacy_v2_writes(self.legacy_v2_writes);
         tables.save(TT_NAME, &self.tt)?;
         // Catalog-driven so demand-driven stores (empty in-memory VP map)
         // round-trip too: each body is pulled — possibly from disk — and
@@ -900,7 +885,6 @@ impl S2rdfStore {
                 ..UpdateState::default()
             },
             write_opts: s2rdf_columnar::WriteOptions::default(),
-            legacy_v2_writes: false,
         };
         // Crash recovery: replay whatever the WAL still holds through the
         // same apply path live updates use. Replay is conservative (every
@@ -1459,7 +1443,7 @@ impl S2rdfStore {
             }
             ExtVpStorage::Lazy | ExtVpStorage::None => {}
         }
-        // Format convergence: any table file still in a legacy (v1/v2)
+        // Format convergence: any table file still in the legacy v2
         // format — loaded from a store built before the chunked format —
         // is rewritten as v3. Runs after the dirty flushes so freshly
         // saved tables are probed (and skipped) as already-current.

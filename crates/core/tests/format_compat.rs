@@ -2,7 +2,7 @@
 //! in the legacy v2 (whole-column) format — checked in as a fixture —
 //! must load and answer queries identically, and a checkpoint must
 //! converge its files to the current chunked v3 format without changing
-//! any result.
+//! any result. Nothing writes v2 any more, so the fixture is frozen.
 
 use std::path::{Path, PathBuf};
 
@@ -70,20 +70,6 @@ fn table_versions(dir: &Path) -> Vec<u8> {
     versions
 }
 
-/// Regenerates the checked-in fixture. Run explicitly when the fixture
-/// must change (`cargo test -p s2rdf-core --test format_compat -- --ignored`),
-/// then commit the result; normal runs never touch it.
-#[test]
-#[ignore = "fixture generator, run manually"]
-fn regenerate_v2_fixture() {
-    let dir = fixture_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut store = S2rdfStore::build(&fixture_graph(), &BuildOptions::default());
-    store.set_legacy_v2_writes(true);
-    store.save(&dir).unwrap();
-    assert!(table_versions(&dir).iter().all(|&v| v == 2));
-}
-
 #[test]
 fn v2_fixture_loads_queries_and_checkpoints_to_v3() {
     let work = std::env::temp_dir().join(format!("s2rdf-v2compat-{}", std::process::id()));
@@ -91,7 +77,7 @@ fn v2_fixture_loads_queries_and_checkpoints_to_v3() {
     copy_dir(&fixture_dir(), &work);
     assert!(
         table_versions(&work).iter().all(|&v| v == 2),
-        "fixture must stay v2 on disk — regenerate_v2_fixture rewrites it"
+        "fixture must stay v2 on disk"
     );
 
     // Ground truth from a fresh in-memory build of the same graph.

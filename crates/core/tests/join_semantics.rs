@@ -3,7 +3,7 @@
 //! Two join families coexist in the stack and must each be internally
 //! consistent:
 //!
-//! * the **hash family** (`ops::natural_join`, `natural_join_auto`,
+//! * the **hash family** (`ops::natural_join`, `natural_join_adaptive`,
 //!   `par_natural_join`) treats `NULL_ID` as an ordinary key value — all
 //!   three must produce the same bag for every partition count, including
 //!   the `default_parallelism()` used in production;
@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 
 use s2rdf_columnar::exec::{
-    default_parallelism, natural_join_auto, par_natural_join, row_multiset,
+    default_parallelism, natural_join_adaptive, par_natural_join, row_multiset, JoinConfig,
 };
 use s2rdf_columnar::ops::natural_join;
 use s2rdf_columnar::{Schema, Table, NULL_ID};
@@ -128,7 +128,8 @@ proptest! {
         let left = table(&["j", "a"], l);
         let right = table(&["j", "b"], r);
         let serial = row_multiset(&natural_join(&left, &right));
-        prop_assert_eq!(row_multiset(&natural_join_auto(&left, &right)), serial.clone());
+        let (adaptive, _) = natural_join_adaptive(&left, &right, &JoinConfig::default());
+        prop_assert_eq!(row_multiset(&adaptive), serial.clone());
         for parts in partition_counts() {
             prop_assert_eq!(
                 row_multiset(&par_natural_join(&left, &right, parts)),
@@ -147,7 +148,8 @@ proptest! {
         let left = table(&["j", "k", "a"], l);
         let right = table(&["j", "k", "b"], r);
         let serial = row_multiset(&natural_join(&left, &right));
-        prop_assert_eq!(row_multiset(&natural_join_auto(&left, &right)), serial.clone());
+        let (adaptive, _) = natural_join_adaptive(&left, &right, &JoinConfig::default());
+        prop_assert_eq!(row_multiset(&adaptive), serial.clone());
         for parts in partition_counts() {
             prop_assert_eq!(
                 row_multiset(&par_natural_join(&left, &right, parts)),
@@ -194,7 +196,8 @@ proptest! {
     ) {
         let left = table(&["j", "a"], l);
         let right = table(&["j", "b"], r);
-        let hash = row_multiset(&natural_join_auto(&left, &right));
+        let (adaptive, _) = natural_join_adaptive(&left, &right, &JoinConfig::default());
+        let hash = row_multiset(&adaptive);
         prop_assert_eq!(row_multiset(&compat_join(&left, &right)), hash.clone());
         for parts in partition_counts() {
             prop_assert_eq!(
