@@ -92,7 +92,7 @@ impl<'a> S2rdfEngine<'a> {
             }
             TableSource::TriplesTable => {
                 let cols = [(0, &step.tp.s), (1, &step.tp.p), (2, &step.tp.o)];
-                let out = scan_pattern(self.store.triples_table(), &cols, dict);
+                let out = scan_pattern(&*self.store.triples_table()?, &cols, dict);
                 let source = (!intersected && distinct_vars(&cols)).then(|| TT_NAME.to_string());
                 let rationale = "triples table: predicate unbound, no VP candidate".to_string();
                 (out, TT_NAME.to_string(), step.sf, rationale, source)

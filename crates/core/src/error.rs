@@ -27,6 +27,9 @@ pub enum CoreError {
     ResourceExhausted(String),
     /// Catalog (statistics) persistence failure.
     Catalog(String),
+    /// The store refuses updates until it is reopened: an earlier WAL
+    /// append failed and may have left a torn record that replay stops at.
+    ReopenRequired(String),
 }
 
 impl fmt::Display for CoreError {
@@ -39,6 +42,7 @@ impl fmt::Display for CoreError {
             CoreError::Timeout => write!(f, "query timed out"),
             CoreError::ResourceExhausted(m) => write!(f, "resource limit exceeded: {m}"),
             CoreError::Catalog(m) => write!(f, "catalog error: {m}"),
+            CoreError::ReopenRequired(m) => write!(f, "reopen required: {m}"),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! the dictionary, and the statistics catalog.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -65,14 +65,18 @@ impl Default for BuildOptions {
 /// Freshly [`build`](S2rdfStore::build)-t stores hold every table in
 /// memory. [`load`](S2rdfStore::load)-ed stores are *demand-driven*: only
 /// the manifest, catalog and dictionary are read eagerly (plus a raw CRC
-/// sweep over the ground-truth triples/VP files); table bodies stay on
-/// disk behind `disk` and are decoded — and checksum-verified — on first
-/// access, the shared-memory analogue of Spark reading Parquet column
-/// chunks per query rather than at session start.
+/// sweep over the ground-truth triples/VP files); table bodies — the
+/// triples table included — stay on disk behind `disk` and are decoded —
+/// and checksum-verified — on first access, the shared-memory analogue of
+/// Spark reading Parquet column chunks per query rather than at session
+/// start.
 #[derive(Debug)]
 pub struct S2rdfStore {
     dict: Dictionary,
-    tt: Arc<Table>,
+    /// The triples table when it is resident: always for built stores, and
+    /// for loaded stores once an update has pinned it. `None` means it is
+    /// served on demand from `disk`.
+    tt: Option<Arc<Table>>,
     /// In-memory VP tables (built stores). Empty for loaded stores, which
     /// serve VP bodies on demand from `disk`.
     vp: FxHashMap<TermId, Arc<Table>>,
@@ -136,6 +140,10 @@ struct UpdateState {
     membership: Option<FxHashSet<(u32, u32, u32)>>,
     /// WAL records replayed when the store was opened.
     replayed: u64,
+    /// Set when a WAL append failed: the log may end in a torn record that
+    /// replay stops at, so no later batch may be acknowledged until the
+    /// store is reopened (which trims the tail).
+    wal_failed: bool,
 }
 
 /// Outcome of one [`S2rdfStore::insert`]/[`S2rdfStore::delete`] batch.
@@ -196,7 +204,7 @@ impl S2rdfStore {
         };
         S2rdfStore {
             dict: graph.dict().clone(),
-            tt: Arc::new(tt),
+            tt: Some(Arc::new(tt)),
             vp,
             extvp,
             disk: None,
@@ -254,9 +262,26 @@ impl S2rdfStore {
         }
     }
 
-    /// The base triples table.
-    pub fn triples_table(&self) -> &Table {
-        &self.tt
+    /// The base triples table, loading the body from disk on first access
+    /// for [`S2rdfStore::load`]-ed stores (like
+    /// [`S2rdfStore::try_vp_table`]); `Err` is a read failure.
+    pub fn triples_table(&self) -> Result<Arc<Table>, CoreError> {
+        if let Some(tt) = &self.tt {
+            return Ok(tt.clone());
+        }
+        let disk = self
+            .disk
+            .as_ref()
+            .expect("only a loaded store leaves the triples table on disk");
+        Ok(disk.load(TT_NAME)?)
+    }
+
+    /// Makes the triples table resident (see [`S2rdfStore::triples_table`])
+    /// so that updates can rebuild it in memory.
+    fn pin_triples_table(&mut self) -> Result<Arc<Table>, CoreError> {
+        let tt = self.triples_table()?;
+        self.tt = Some(tt.clone());
+        Ok(tt)
     }
 
     /// A VP table by predicate id. Infallible convenience over
@@ -646,7 +671,7 @@ impl S2rdfStore {
         std::fs::create_dir_all(dir).map_err(|e| CoreError::Catalog(e.to_string()))?;
         let mut tables = TableStore::open(dir.join("tables"))?;
         tables.set_write_options(self.write_opts);
-        tables.save(TT_NAME, &self.tt)?;
+        tables.save(TT_NAME, &*self.triples_table()?)?;
         // Catalog-driven so demand-driven stores (empty in-memory VP map)
         // round-trip too: each body is pulled — possibly from disk — and
         // re-persisted.
@@ -788,6 +813,10 @@ impl S2rdfStore {
 
     /// Loads a store previously written by [`S2rdfStore::save`].
     ///
+    /// Reads the catalog, the dictionary and the table manifest, and
+    /// checks the raw CRCs of the triples table and every VP table; no
+    /// table body is decoded (WAL replay aside).
+    ///
     /// Corruption of the triples table or a VP table is fatal (they are the
     /// ground truth), but a corrupt ExtVP partition — a derived semi-join
     /// reduction — is *quarantined* instead: the store loads, queries over
@@ -830,7 +859,6 @@ impl S2rdfStore {
                 tables.verify_checksum(&name)?;
             }
         }
-        let tt = tables.load(TT_NAME)?;
         let mut quarantine = FxHashSet::default();
         let extvp = if !catalog.extvp_built {
             ExtVpStorage::None
@@ -870,7 +898,7 @@ impl S2rdfStore {
         };
         let mut store = S2rdfStore {
             dict,
-            tt,
+            tt: None,
             vp: FxHashMap::default(),
             extvp,
             disk: Some(tables),
@@ -1071,11 +1099,22 @@ impl S2rdfStore {
     /// in-memory tables and statistics. Inserts are applied before
     /// deletes. On a [`S2rdfStore::build`]-t store (no backing directory)
     /// the update is applied in memory only and is *not* durable.
+    ///
+    /// The triples table is pinned before anything else, so a failed read
+    /// leaves the dictionary and the WAL untouched. After a failed WAL
+    /// append every later call fails with [`CoreError::ReopenRequired`]
+    /// until the store is reopened; queries keep working.
     pub fn update_batch(
         &mut self,
         inserts: &[Triple],
         deletes: &[Triple],
     ) -> Result<DeltaSummary, CoreError> {
+        if self.update.wal_failed {
+            return Err(CoreError::ReopenRequired(
+                "an earlier WAL append failed".to_string(),
+            ));
+        }
+        self.pin_triples_table()?;
         let dict_before = self.dict.len();
         let mut ops = Vec::with_capacity(inserts.len() + deletes.len());
         for t in inserts {
@@ -1117,7 +1156,10 @@ impl S2rdfStore {
         // Durability first: the record is on disk (fsynced) before any
         // table changes. A crash from here on replays it at next open.
         if let Some(wal) = &mut self.update.wal {
-            wal.append(&batch.encode())?;
+            if let Err(e) = wal.append(&batch.encode()) {
+                self.update.wal_failed = true;
+                return Err(e.into());
+            }
         }
         self.apply_batch(&batch, false)
     }
@@ -1134,6 +1176,7 @@ impl S2rdfStore {
         batch: &DeltaBatch,
         conservative: bool,
     ) -> Result<DeltaSummary, CoreError> {
+        let mut tt = self.pin_triples_table()?;
         // Replay re-interns the batch's dictionary growth: `new_terms` is
         // in id order, so a recovering store reproduces identical ids;
         // for a live store these terms are already interned (no-op).
@@ -1144,12 +1187,8 @@ impl S2rdfStore {
         // RDF graphs are sets, and set semantics is what makes replay
         // idempotent.
         if self.update.membership.is_none() {
-            let (s, p, o) = (self.tt.column(0), self.tt.column(1), self.tt.column(2));
-            self.update.membership = Some(
-                (0..self.tt.num_rows())
-                    .map(|i| (s[i], p[i], o[i]))
-                    .collect(),
-            );
+            let (s, p, o) = (tt.column(0), tt.column(1), tt.column(2));
+            self.update.membership = Some((0..tt.num_rows()).map(|i| (s[i], p[i], o[i])).collect());
         }
         let membership = self.update.membership.as_mut().expect("just built");
 
@@ -1184,12 +1223,12 @@ impl S2rdfStore {
         // keep their original order, first-time inserts append. Keys both
         // deleted and re-inserted within the batch survive in place.
         if !effective.is_empty() {
-            let n = self.tt.num_rows();
+            let n = tt.num_rows();
             let mut old_keys: FxHashSet<(u32, u32, u32)> =
                 FxHashSet::with_capacity_and_hasher(n, Default::default());
             let (mut ns, mut np, mut no) = (Vec::new(), Vec::new(), Vec::new());
             {
-                let (s, p, o) = (self.tt.column(0), self.tt.column(1), self.tt.column(2));
+                let (s, p, o) = (tt.column(0), tt.column(1), tt.column(2));
                 for i in 0..n {
                     let key = (s[i], p[i], o[i]);
                     if membership.contains(&key) {
@@ -1205,18 +1244,19 @@ impl S2rdfStore {
                 np.push(p);
                 no.push(o);
             }
-            self.tt = Arc::new(Table::from_columns(
+            tt = Arc::new(Table::from_columns(
                 Schema::new([COL_S, COL_P, COL_O]),
                 vec![ns, np, no],
             ));
+            self.tt = Some(tt.clone());
             self.update.tt_dirty = true;
-            self.catalog.total_triples = self.tt.num_rows();
+            self.catalog.total_triples = tt.num_rows();
         }
         if conservative {
             // A checkpoint that crashed after flushing the triples table
             // but before the catalog leaves the statistic stale while every
             // replayed op reads as a no-op; resync it from the table.
-            self.catalog.total_triples = self.tt.num_rows();
+            self.catalog.total_triples = tt.num_rows();
         }
 
         let touched: BTreeSet<u32> = if conservative { mentioned } else { effective };
@@ -1234,8 +1274,8 @@ impl S2rdfStore {
             .map(|&p| (p, (Vec::new(), Vec::new())))
             .collect();
         {
-            let (s, p, o) = (self.tt.column(0), self.tt.column(1), self.tt.column(2));
-            for i in 0..self.tt.num_rows() {
+            let (s, p, o) = (tt.column(0), tt.column(1), tt.column(2));
+            for i in 0..tt.num_rows() {
                 if let Some((vs, vo)) = per_pred.get_mut(&p[i]) {
                     vs.push(s[i]);
                     vo.push(o[i]);
@@ -1383,8 +1423,9 @@ impl S2rdfStore {
             report.orphans_removed = disk.sweep_orphans()?.len();
         }
         if self.update.tt_dirty {
+            let tt = self.triples_table()?;
             let disk = self.disk.as_mut().expect("loaded store has a table store");
-            disk.save(TT_NAME, &self.tt)?;
+            disk.save(TT_NAME, &tt)?;
             report.tables_flushed += 1;
         }
         let mut preds: Vec<TermId> = self.update.vp_dirty.iter().copied().collect();
@@ -1516,16 +1557,19 @@ pub struct RepairReport {
 }
 
 /// Reads the dictionary file of a saved store (one N-Triples term per line,
-/// id = line number).
+/// id = line number). A term on two lines is corruption, not a merge: it
+/// would shift the id of every later term.
 fn load_dictionary(dir: &Path) -> Result<Dictionary, CoreError> {
-    let file = std::fs::File::open(dir.join("dictionary.nt"))
-        .map_err(|e| CoreError::Catalog(e.to_string()))?;
-    let mut dict = Dictionary::new();
-    for line in BufReader::new(file).lines() {
-        let line = line.map_err(|e| CoreError::Catalog(e.to_string()))?;
-        dict.intern(&Term::parse_ntriples(&line)?);
-    }
-    Ok(dict)
+    let bytes =
+        std::fs::read(dir.join("dictionary.nt")).map_err(|e| CoreError::Catalog(e.to_string()))?;
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|e| CoreError::Catalog(format!("dictionary.nt: {e}")))?;
+    let terms = text
+        .lines()
+        .map(Term::parse_ntriples)
+        .collect::<Result<Vec<_>, _>>()?;
+    Dictionary::from_terms(terms)
+        .map_err(|i| CoreError::Catalog(format!("dictionary.nt: line {} repeats a term", i + 1)))
 }
 
 /// Parses `ExtVP_<corr>/<p1>|<p2>` names back into keys. Predicates are

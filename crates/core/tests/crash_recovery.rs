@@ -406,3 +406,48 @@ fn wal_bit_flip_cuts_replay_at_damaged_record() {
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A failed WAL append may leave a torn record that replay stops at, so a
+/// later batch appended behind it would be acknowledged and then lost at
+/// reopen. The store must refuse further updates until it is reopened (or,
+/// if it accepts one, make it survive the reopen); queries keep working.
+#[test]
+fn updates_after_a_failed_wal_append_are_refused_until_reopen() {
+    let options = BuildOptions::default();
+    let dir = temp_dir("append-poison");
+    S2rdfStore::build(&Graph::from_triples(g1()), &options)
+        .save(&dir)
+        .unwrap();
+
+    let mut store = S2rdfStore::load(&dir).unwrap();
+    store.set_fault_injector_deep(Some(Arc::new(FaultInjector::new(FaultConfig {
+        torn_append: 1.0,
+        seed: 7,
+        ..FaultConfig::default()
+    }))));
+    let first = [t("D", "likes", "I3")];
+    assert!(store.insert(&first).is_err(), "torn append must surface");
+
+    store.set_fault_injector_deep(None);
+    let retry = [t("E", "likes", "I1")];
+    let q = "SELECT * WHERE { <E> <likes> ?o }";
+    let accepted = match store.insert(&retry) {
+        Err(CoreError::ReopenRequired(_)) => false,
+        Err(e) => panic!("unexpected error: {e:?}"),
+        Ok(_) => true,
+    };
+    assert_eq!(store.query(q).unwrap().len(), usize::from(accepted));
+    drop(store);
+
+    let mut reopened = S2rdfStore::load(&dir).unwrap();
+    assert_eq!(
+        reopened.query(q).unwrap().len(),
+        usize::from(accepted),
+        "an acknowledged update was lost at reopen"
+    );
+    // Reopening trims the torn tail: updates are accepted and durable again.
+    reopened.insert(&retry).unwrap();
+    drop(reopened);
+    assert_eq!(S2rdfStore::load(&dir).unwrap().query(q).unwrap().len(), 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
