@@ -1,6 +1,6 @@
 //! Micro/ablation benches for the design choices DESIGN.md calls out:
-//! join-order optimization on/off (paper Fig. 12), parallel vs serial
-//! hash joins, ExtVP construction, and SPARQL parsing.
+//! join-order optimization on/off (paper Fig. 12), serial vs
+//! morsel-parallel hash joins, ExtVP construction, and SPARQL parsing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use s2rdf_bench::dataset;
-use s2rdf_columnar::exec::par_natural_join;
+use s2rdf_columnar::exec::{natural_join_adaptive, JoinConfig};
 use s2rdf_columnar::ops::natural_join;
 use s2rdf_columnar::{Schema, Table};
 use s2rdf_core::engines::SparqlEngine;
@@ -65,9 +65,10 @@ fn bench_parallel_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro_parallel_join");
     group.sample_size(10);
     group.bench_function("serial", |b| b.iter(|| natural_join(&left, &right)));
-    for parts in [2, 4, 8] {
-        group.bench_function(format!("parallel_{parts}"), |b| {
-            b.iter(|| par_natural_join(&left, &right, parts))
+    for morsel_rows in [1 << 12, 1 << 14, 1 << 16] {
+        let cfg = JoinConfig { morsel_rows };
+        group.bench_function(format!("morsel_rows_{morsel_rows}"), |b| {
+            b.iter(|| natural_join_adaptive(&left, &right, &cfg))
         });
     }
     group.finish();

@@ -1,5 +1,5 @@
 //! Minimal argument parsing: a subcommand followed by `--key value` pairs
-//! and `--flag` booleans.
+//! and `--flag` booleans, checked against what the subcommand accepts.
 
 /// Parsed command line.
 #[derive(Debug, Default)]
@@ -7,6 +7,7 @@ pub struct Args {
     command: Option<String>,
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
+    positionals: Vec<String>,
 }
 
 impl Args {
@@ -21,8 +22,7 @@ impl Args {
         }
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
-                // Stray positional: treat as unknown flag to surface typos.
-                out.flags.push(arg);
+                out.positionals.push(arg);
                 continue;
             };
             match iter.peek() {
@@ -59,6 +59,32 @@ impl Args {
     /// Whether `--name` was given as a bare flag.
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// Fails on anything the subcommand does not accept: an `--name` that
+    /// is in neither `options` (which take a value) nor `flags`, an option
+    /// without its value, a flag with one, or a stray word.
+    pub fn check(&self, options: &[&str], flags: &[&str]) -> Result<(), String> {
+        for (name, value) in &self.pairs {
+            if flags.contains(&name.as_str()) {
+                return Err(format!("--{name} takes no value (got {value})"));
+            }
+            if !options.contains(&name.as_str()) {
+                return Err(format!("unknown option --{name}"));
+            }
+        }
+        for name in &self.flags {
+            if options.contains(&name.as_str()) {
+                return Err(format!("--{name} needs a value"));
+            }
+            if !flags.contains(&name.as_str()) {
+                return Err(format!("unknown option --{name}"));
+            }
+        }
+        match self.positionals.first() {
+            Some(word) => Err(format!("unexpected argument {word}")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -100,5 +126,52 @@ mod tests {
         let a = parse("stats --store db --explain");
         assert_eq!(a.opt_value("store"), Some("db"));
         assert!(a.flag("explain"));
+    }
+
+    const OPTIONS: &[&str] = &["store", "query"];
+    const FLAGS: &[&str] = &["explain"];
+
+    #[test]
+    fn check_accepts_declared_options_and_flags() {
+        let a = parse("query --store db --explain --query SELECT");
+        assert_eq!(a.check(OPTIONS, FLAGS), Ok(()));
+        assert_eq!(parse("query").check(OPTIONS, FLAGS), Ok(()));
+    }
+
+    #[test]
+    fn check_rejects_unknown_options() {
+        let a = parse("query --store db --max-partitions 4 --query SELECT");
+        assert_eq!(
+            a.check(OPTIONS, FLAGS),
+            Err("unknown option --max-partitions".to_string())
+        );
+        let a = parse("query --store db --verbose");
+        assert_eq!(
+            a.check(OPTIONS, FLAGS),
+            Err("unknown option --verbose".to_string())
+        );
+    }
+
+    #[test]
+    fn check_rejects_stray_words() {
+        let a = parse("query --store db --query SELECT bogus");
+        assert_eq!(
+            a.check(OPTIONS, FLAGS),
+            Err("unexpected argument bogus".to_string())
+        );
+    }
+
+    #[test]
+    fn check_rejects_missing_and_unexpected_values() {
+        let a = parse("query --explain --store");
+        assert_eq!(
+            a.check(OPTIONS, FLAGS),
+            Err("--store needs a value".to_string())
+        );
+        let a = parse("query --explain yes");
+        assert_eq!(
+            a.check(OPTIONS, FLAGS),
+            Err("--explain takes no value (got yes)".to_string())
+        );
     }
 }

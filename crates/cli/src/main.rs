@@ -7,15 +7,17 @@
 //!                [--chunk-rows 4096] [--no-bloom]
 //! s2rdf stats    --store ./db [--json]
 //! s2rdf query    --store ./db --query 'SELECT/ASK/CONSTRUCT/DESCRIBE …' | --file q.rq
-//!                [--explain] [--profile] [--no-extvp]
-//!                [--broadcast-threshold <rows>] [--target-partition-rows <N>]
-//!                [--max-partitions <N>] [--morsel-rows <N>]
+//!                [--explain] [--profile] [--no-extvp] [--intersect]
+//!                [--max-print <N>] [--morsel-rows <N>]
 //!                [--dp-max-patterns <N>] [--replan-threshold <ratio>]
 //! s2rdf update   --store ./db [--insert add.nt] [--delete del.nt]
 //!                [--checkpoint] [--chunk-rows <N>] [--no-bloom]
 //! s2rdf checkpoint --store ./db [--chunk-rows <N>] [--no-bloom]
 //! s2rdf verify   --store ./db [--repair] [--json]
 //! ```
+//!
+//! Any option a subcommand does not accept, and any stray word, is an
+//! error.
 
 use std::io::Read;
 use std::path::Path;
@@ -38,33 +40,65 @@ const USAGE: &str = "usage:
                  [--mode rows|bits|lazy] [--no-extvp] [--oo]
                  [--chunk-rows <N>] [--no-bloom]
   s2rdf stats    --store <dir> [--json]
-  s2rdf query    --store <dir> (--query <sparql> | --file <q.rq>)
+  s2rdf query    --store <dir> (--query <sparql> | --file <q.rq> | --stdin)
                  [--explain] [--profile] [--no-extvp] [--intersect]
-                 [--max-print <N>] [--broadcast-threshold <rows>]
-                 [--target-partition-rows <N>] [--max-partitions <N>]
-                 [--morsel-rows <N>] [--dp-max-patterns <N>]
-                 [--replan-threshold <ratio>]
+                 [--max-print <N>] [--morsel-rows <N>]
+                 [--dp-max-patterns <N>] [--replan-threshold <ratio>]
   s2rdf update   --store <dir> [--insert <file.nt>] [--delete <file.nt>]
                  [--checkpoint] [--chunk-rows <N>] [--no-bloom]
   s2rdf checkpoint --store <dir> [--chunk-rows <N>] [--no-bloom]
   s2rdf verify   --store <dir> [--repair] [--json]";
 
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand: its name, the options it accepts (each takes a
+/// value), its bare flags, and what runs it.
+const COMMANDS: &[(&str, &[&str], &[&str], Command)] = &[
+    ("generate", &["scale", "seed", "out"], &[], cmd_generate),
+    (
+        "load",
+        &["data", "store", "threshold", "mode", "chunk-rows"],
+        &["no-extvp", "oo", "no-bloom"],
+        cmd_load,
+    ),
+    ("stats", &["store"], &["json"], cmd_stats),
+    (
+        "query",
+        &[
+            "store",
+            "query",
+            "file",
+            "max-print",
+            "morsel-rows",
+            "dp-max-patterns",
+            "replan-threshold",
+        ],
+        &["explain", "profile", "no-extvp", "intersect", "stdin"],
+        cmd_query,
+    ),
+    (
+        "update",
+        &["store", "insert", "delete", "chunk-rows"],
+        &["checkpoint", "no-bloom"],
+        cmd_update,
+    ),
+    (
+        "checkpoint",
+        &["store", "chunk-rows"],
+        &["no-bloom"],
+        cmd_checkpoint,
+    ),
+    ("verify", &["store"], &["repair", "json"], cmd_verify),
+];
+
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
-    let result = match args.command() {
-        Some("generate") => cmd_generate(&args),
-        Some("load") => cmd_load(&args),
-        Some("stats") => cmd_stats(&args),
-        Some("query") => cmd_query(&args),
-        Some("update") => cmd_update(&args),
-        Some("checkpoint") => cmd_checkpoint(&args),
-        Some("verify") => cmd_verify(&args),
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let Some(&(_, options, flags, run)) = COMMANDS.iter().find(|c| args.command() == Some(c.0))
+    else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
-    match result {
+    match args.check(options, flags).and_then(|()| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
@@ -310,15 +344,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     let store = S2rdfStore::load(Path::new(&store_dir)).map_err(|e| e.to_string())?;
     let engine = store.engine(!args.flag("no-extvp"));
     let mut join = s2rdf_columnar::exec::JoinConfig::default();
-    if let Some(s) = args.opt_value("broadcast-threshold") {
-        join.broadcast_rows = s.parse().map_err(|_| "bad --broadcast-threshold")?;
-    }
-    if let Some(s) = args.opt_value("target-partition-rows") {
-        join.target_partition_rows = s.parse().map_err(|_| "bad --target-partition-rows")?;
-    }
-    if let Some(s) = args.opt_value("max-partitions") {
-        join.max_partitions = s.parse().map_err(|_| "bad --max-partitions")?;
-    }
     if let Some(s) = args.opt_value("morsel-rows") {
         join.morsel_rows = s.parse().map_err(|_| "bad --morsel-rows")?;
         if join.morsel_rows == 0 {

@@ -3,9 +3,8 @@
 //! This crate is the stand-in for Spark SQL + Parquet in the S2RDF paper: a
 //! small in-memory columnar engine over `u32` (dictionary-id) columns with
 //! the relational operators the SPARQL compiler needs — scans with
-//! selections, projections/renames, natural hash joins (optionally
-//! data-parallel and partitioned, mirroring Spark's shuffle-hash join),
-//! semi joins, left outer joins, union, distinct, sort and slice — plus a
+//! selections, projections/renames, natural hash joins (one kernel whose
+//! probe is cut into morsels on a shared worker pool), semi joins, left outer joins, union, distinct, sort and slice — plus a
 //! compressed on-disk table store standing in for Parquet files on HDFS.
 //!
 //! All values are dictionary ids; [`NULL_ID`] marks an unbound value (used

@@ -1,96 +1,115 @@
-//! Hash joins: inner (natural and keyed), semi, and left outer.
+//! Hash joins: inner (natural), semi, and left outer.
 //!
-//! All joins build a hash table on the smaller input and probe with the
-//! larger one. Join keys of one or two columns are packed into a `u64`
-//! (the overwhelmingly common case in SPARQL BGPs); wider keys fall back to
-//! `Vec<u32>` keys reusing a single scratch buffer across probe rows.
+//! Every inner join runs one kernel: a [`JoinIndex`] over the smaller
+//! input, probed by the larger one in `morsel_rows`-sized ranges on the
+//! worker pool ([`crate::pool`]). Each range yields `(left_row, right_row)`
+//! pairs in probe-row order, and one sink ([`write_pairs`]) gathers every
+//! output column from them into disjoint slices of one pre-sized table. A
+//! probe that fits in one morsel runs inline on the caller, and the output
+//! row order is the same at every morsel size and worker count.
+//!
+//! Join keys of one or two columns fold exactly into a `u64` (the common
+//! case in SPARQL BGPs); wider keys are matched as `Vec<u32>`, reusing one
+//! scratch buffer across probe rows.
 //!
 //! Every operator records once-per-call metrics (build/probe/output rows
 //! and wall time) into the global [`crate::metrics`] registry — the
 //! shared-memory analogue of Spark's per-stage shuffle read/write stats.
 
+use std::ops::Range;
+
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::metrics::SpanTimer;
+use crate::pipeline::morsel_ranges;
+use crate::pool;
 use crate::schema::Schema;
 use crate::table::{Table, NULL_ID};
 use crate::{metric_counter, metric_histogram};
 
-/// Hash map from packed key to the row indices holding it.
-enum KeyIndex {
-    Narrow(FxHashMap<u64, Vec<u32>>),
-    Wide(FxHashMap<Vec<u32>, Vec<u32>>),
-}
+/// Right row of a left-outer miss in a pair list: [`write_pairs`] writes
+/// [`NULL_ID`] for its right columns.
+const NO_ROW: u32 = u32::MAX;
 
-#[inline]
-fn pack2(a: u32, b: u32) -> u64 {
-    ((a as u64) << 32) | b as u64
-}
+/// The exact `u64` fold of a 1–2-column join key, read row by row.
+struct NarrowKey<'a>(&'a [u32], Option<&'a [u32]>);
 
-fn build_index(table: &Table, keys: &[usize]) -> KeyIndex {
-    match keys {
-        [k] => {
-            let col = table.column(*k);
-            let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            map.reserve(col.len());
-            for (i, &v) in col.iter().enumerate() {
-                map.entry(v as u64).or_default().push(i as u32);
-            }
-            KeyIndex::Narrow(map)
-        }
-        [k1, k2] => {
-            let (c1, c2) = (table.column(*k1), table.column(*k2));
-            let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-            map.reserve(c1.len());
-            for i in 0..c1.len() {
-                map.entry(pack2(c1[i], c2[i])).or_default().push(i as u32);
-            }
-            KeyIndex::Narrow(map)
-        }
-        _ => {
-            let mut map: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
-            for i in 0..table.num_rows() {
-                let key: Vec<u32> = keys.iter().map(|&k| table.value(i, k)).collect();
-                map.entry(key).or_default().push(i as u32);
-            }
-            KeyIndex::Wide(map)
+impl<'a> NarrowKey<'a> {
+    fn new(table: &'a Table, keys: &[usize]) -> Self {
+        NarrowKey(table.column(keys[0]), keys.get(1).map(|&k| table.column(k)))
+    }
+
+    #[inline]
+    fn at(&self, row: usize) -> u64 {
+        match self.1 {
+            None => self.0[row] as u64,
+            Some(second) => ((self.0[row] as u64) << 32) | second[row] as u64,
         }
     }
 }
 
-impl KeyIndex {
-    /// Looks up the build-side rows matching `row` of `table`.
-    ///
-    /// `scratch` is a caller-owned buffer reused across probe rows so the
-    /// wide-key path performs zero allocations per probe (it previously
-    /// built a fresh `Vec<u32>` per row).
-    fn probe<'a>(
-        &'a self,
-        table: &Table,
-        keys: &[usize],
-        row: usize,
-        scratch: &mut Vec<u32>,
-    ) -> Option<&'a [u32]> {
-        match (self, keys) {
-            (KeyIndex::Narrow(map), [k]) => {
-                map.get(&(table.value(row, *k) as u64)).map(Vec::as_slice)
+/// Hash index from a join key to the (ascending) build rows holding it.
+pub(crate) enum JoinIndex {
+    /// Keys of one or two columns, folded exactly into a `u64`.
+    Narrow(FxHashMap<u64, Vec<u32>>),
+    /// Keys of three or more columns.
+    Wide(FxHashMap<Vec<u32>, Vec<u32>>),
+}
+
+impl JoinIndex {
+    /// Indexes every row of `table` by its `keys` columns.
+    fn build(table: &Table, keys: &[usize]) -> JoinIndex {
+        let index = if keys.len() <= 2 {
+            let key = NarrowKey::new(table, keys);
+            let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+            map.reserve(table.num_rows());
+            for row in 0..table.num_rows() {
+                map.entry(key.at(row)).or_default().push(row as u32);
             }
-            (KeyIndex::Narrow(map), [k1, k2]) => map
-                .get(&pack2(table.value(row, *k1), table.value(row, *k2)))
-                .map(Vec::as_slice),
-            (KeyIndex::Wide(map), keys) => {
-                scratch.clear();
-                scratch.extend(keys.iter().map(|&k| table.value(row, k)));
-                map.get(scratch.as_slice()).map(Vec::as_slice)
+            JoinIndex::Narrow(map)
+        } else {
+            let mut map: FxHashMap<Vec<u32>, Vec<u32>> = FxHashMap::default();
+            for row in 0..table.num_rows() {
+                let key: Vec<u32> = keys.iter().map(|&k| table.value(row, k)).collect();
+                map.entry(key).or_default().push(row as u32);
             }
-            _ => unreachable!("index arity mismatch"),
-        }
+            JoinIndex::Wide(map)
+        };
+        metric_counter!("columnar.join.build_distinct_keys").add(index.num_keys() as u64);
+        index
     }
 
     fn num_keys(&self) -> usize {
         match self {
-            KeyIndex::Narrow(map) => map.len(),
-            KeyIndex::Wide(map) => map.len(),
+            JoinIndex::Narrow(map) => map.len(),
+            JoinIndex::Wide(map) => map.len(),
+        }
+    }
+
+    /// Calls `f(row, matches)` for every row of `rows` of `probe`, in order;
+    /// `matches` is empty when the row's key is not in the index.
+    fn for_each_match(
+        &self,
+        probe: &Table,
+        probe_keys: &[usize],
+        rows: Range<usize>,
+        mut f: impl FnMut(u32, &[u32]),
+    ) {
+        match self {
+            JoinIndex::Narrow(map) => {
+                let key = NarrowKey::new(probe, probe_keys);
+                for row in rows {
+                    f(row as u32, map.get(&key.at(row)).map_or(&[], Vec::as_slice));
+                }
+            }
+            JoinIndex::Wide(map) => {
+                let mut scratch: Vec<u32> = Vec::with_capacity(probe_keys.len());
+                for row in rows {
+                    scratch.clear();
+                    scratch.extend(probe_keys.iter().map(|&k| probe.value(row, k)));
+                    f(row as u32, map.get(&scratch).map_or(&[], Vec::as_slice));
+                }
+            }
         }
     }
 }
@@ -98,11 +117,7 @@ impl KeyIndex {
 /// Output schema of a join: all left columns plus the right columns that are
 /// not join keys. Panics on residual name collisions (the compiler never
 /// produces them).
-pub(crate) fn join_schema(
-    left: &Table,
-    right: &Table,
-    right_keys: &[usize],
-) -> (Schema, Vec<usize>) {
+fn join_schema(left: &Table, right: &Table, right_keys: &[usize]) -> (Schema, Vec<usize>) {
     let mut names: Vec<String> = left
         .schema()
         .names()
@@ -124,6 +139,139 @@ pub(crate) fn join_schema(
     (Schema::new(names), right_payload)
 }
 
+/// Positions of the columns `left` and `right` share, in `left`'s order.
+fn shared_keys(left: &Table, right: &Table) -> (Vec<usize>, Vec<usize>) {
+    left.schema()
+        .common_columns(right.schema())
+        .iter()
+        .map(|c| {
+            (
+                left.schema().index_of(c).unwrap(),
+                right.schema().index_of(c).unwrap(),
+            )
+        })
+        .unzip()
+}
+
+/// The inner-join kernel: probes the build side's `index` with the other
+/// side in `morsel_rows`-sized ranges on the worker pool and writes the
+/// matches in probe-row order. The output is the left columns followed by
+/// the right non-key columns.
+fn join_on_index(
+    left: (&Table, &[usize]),
+    right: (&Table, &[usize]),
+    index: &JoinIndex,
+    build_is_left: bool,
+    morsel_rows: usize,
+) -> Table {
+    let _span = SpanTimer::start(metric_histogram!("columnar.join.wall_micros"));
+    let ((left, left_keys), (right, right_keys)) = (left, right);
+    let (schema, right_payload) = join_schema(left, right, right_keys);
+    let (build, probe, probe_keys) = if build_is_left {
+        (left, right, right_keys)
+    } else {
+        (right, left, left_keys)
+    };
+    // An empty build side matches nothing: skip the probe.
+    let probe_rows = if build.is_empty() {
+        0
+    } else {
+        probe.num_rows()
+    };
+    let ranges = morsel_ranges(probe_rows, morsel_rows);
+    if ranges.len() > 1 {
+        metric_counter!("columnar.join.broadcast_joins").inc();
+        metric_counter!("columnar.pool.morsels").add(ranges.len() as u64);
+    }
+    let tasks: Vec<_> = ranges
+        .into_iter()
+        .map(|rows| {
+            move |_worker: usize| {
+                let mut pairs: Vec<(u32, u32)> = Vec::new();
+                index.for_each_match(probe, probe_keys, rows, |p, matches| {
+                    if build_is_left {
+                        pairs.extend(matches.iter().map(|&b| (b, p)));
+                    } else {
+                        pairs.extend(matches.iter().map(|&b| (p, b)));
+                    }
+                });
+                pairs
+            }
+        })
+        .collect();
+    let pair_lists = pool::current().run(tasks);
+    let out = write_pairs(
+        schema,
+        left,
+        right,
+        &right_payload,
+        &pair_lists,
+        morsel_rows,
+    );
+    metric_counter!("columnar.join.calls").inc();
+    metric_counter!("columnar.join.build_rows").add(build.num_rows() as u64);
+    metric_counter!("columnar.join.probe_rows").add(probe.num_rows() as u64);
+    metric_counter!("columnar.join.out_rows").add(out.num_rows() as u64);
+    out
+}
+
+/// The join sink: gathers the left columns and the `right_payload` columns
+/// of every `(left_row, right_row)` pair into one pre-sized table, in pair
+/// order. The pair lists are cut into `morsel_rows` chunks, each owning
+/// disjoint slices of the output (chained `split_at_mut`), and the chunks
+/// gather on the worker pool — no reassembly, no `concat`. A right row of
+/// [`NO_ROW`] writes [`NULL_ID`].
+fn write_pairs(
+    schema: Schema,
+    left: &Table,
+    right: &Table,
+    right_payload: &[usize],
+    pair_lists: &[Vec<(u32, u32)>],
+    morsel_rows: usize,
+) -> Table {
+    let total: usize = pair_lists.iter().map(Vec::len).sum();
+    let ncols = schema.len();
+    let left_ncols = left.schema().len();
+    let mut cols: Vec<Vec<u32>> = (0..ncols).map(|_| vec![0u32; total]).collect();
+    let chunks: Vec<&[(u32, u32)]> = pair_lists
+        .iter()
+        .flat_map(|p| p.chunks(morsel_rows.max(1)))
+        .collect();
+    let mut per_chunk: Vec<Vec<&mut [u32]>> =
+        chunks.iter().map(|_| Vec::with_capacity(ncols)).collect();
+    for col in &mut cols {
+        let mut rest: &mut [u32] = col.as_mut_slice();
+        for (t, chunk) in chunks.iter().enumerate() {
+            let (head, tail) = rest.split_at_mut(chunk.len());
+            per_chunk[t].push(head);
+            rest = tail;
+        }
+    }
+    let tasks: Vec<_> = per_chunk
+        .into_iter()
+        .zip(&chunks)
+        .map(|(slices, &pairs)| {
+            move |_worker: usize| {
+                for (c, out_col) in slices.into_iter().enumerate() {
+                    if c < left_ncols {
+                        let src = left.column(c);
+                        for (j, &(lr, _)) in pairs.iter().enumerate() {
+                            out_col[j] = src[lr as usize];
+                        }
+                    } else {
+                        let src = right.column(right_payload[c - left_ncols]);
+                        for (j, &(_, rr)) in pairs.iter().enumerate() {
+                            out_col[j] = src.get(rr as usize).copied().unwrap_or(NULL_ID);
+                        }
+                    }
+                }
+            }
+        })
+        .collect();
+    pool::current().run(tasks);
+    Table::from_columns(schema, cols)
+}
+
 /// A reusable build-side hash index for [`hash_join_probe`].
 ///
 /// Engines evaluate left-deep BGP plans where consecutive triple patterns
@@ -134,7 +282,7 @@ pub(crate) fn join_schema(
 /// broadcast relation across consecutive stages. The index remembers the
 /// key-column positions it was built on so stale reuse fails loudly.
 pub struct BuildIndex {
-    index: KeyIndex,
+    index: JoinIndex,
     keys: Vec<usize>,
 }
 
@@ -150,24 +298,27 @@ impl BuildIndex {
     }
 }
 
-/// Builds a hash index over `keys` of `table` for repeated probing with
-/// [`hash_join_probe`]. The caller is responsible for not mutating (or
-/// replacing) the build table between probes.
+/// Builds a hash index over `keys` (at least one) of `table` for repeated
+/// probing with [`hash_join_probe`]. The caller is responsible for not
+/// mutating (or replacing) the build table between probes.
 pub fn build_join_index(table: &Table, keys: &[usize]) -> BuildIndex {
-    let index = build_index(table, keys);
+    assert!(
+        !keys.is_empty(),
+        "a join index needs at least one key column"
+    );
     metric_counter!("columnar.join.index_builds").inc();
-    metric_counter!("columnar.join.build_distinct_keys").add(index.num_keys() as u64);
     BuildIndex {
-        index,
+        index: JoinIndex::build(table, keys),
         keys: keys.to_vec(),
     }
 }
 
-/// Inner hash join probing a prebuilt [`BuildIndex`].
+/// Inner hash join probing a prebuilt [`BuildIndex`] in `morsel_rows`-sized
+/// ranges.
 ///
 /// `build_is_left` fixes the output orientation: when `true` the result is
 /// the build columns followed by the probe non-key columns — identical to
-/// `hash_join_on(build, probe, ..)` — otherwise the probe columns followed
+/// `natural_join(build, probe)` — otherwise the probe columns followed
 /// by the build non-key columns. Probing an index built on a different
 /// table/key arity is a logic error (asserted).
 pub fn hash_join_probe(
@@ -176,139 +327,20 @@ pub fn hash_join_probe(
     probe: &Table,
     probe_keys: &[usize],
     build_is_left: bool,
+    morsel_rows: usize,
 ) -> Table {
     assert_eq!(
         index.keys.len(),
         probe_keys.len(),
         "probe key arity does not match the prebuilt index"
     );
-    let _span = SpanTimer::start(metric_histogram!("columnar.join.wall_micros"));
-    let mut scratch: Vec<u32> = Vec::new();
-    let out = if build_is_left {
-        let (schema, right_payload) = join_schema(build, probe, probe_keys);
-        let mut out = Table::empty(schema);
-        for probe_row in 0..probe.num_rows() {
-            if let Some(matches) = index
-                .index
-                .probe(probe, probe_keys, probe_row, &mut scratch)
-            {
-                for &b in matches {
-                    push_joined(
-                        &mut out,
-                        build,
-                        b as usize,
-                        probe,
-                        probe_row,
-                        &right_payload,
-                    );
-                }
-            }
-        }
-        out
+    let (build, probe) = ((build, index.keys.as_slice()), (probe, probe_keys));
+    let (left, right) = if build_is_left {
+        (build, probe)
     } else {
-        let (schema, right_payload) = join_schema(probe, build, &index.keys);
-        let mut out = Table::empty(schema);
-        for probe_row in 0..probe.num_rows() {
-            if let Some(matches) = index
-                .index
-                .probe(probe, probe_keys, probe_row, &mut scratch)
-            {
-                for &b in matches {
-                    push_joined(
-                        &mut out,
-                        probe,
-                        probe_row,
-                        build,
-                        b as usize,
-                        &right_payload,
-                    );
-                }
-            }
-        }
-        out
+        (probe, build)
     };
-    metric_counter!("columnar.join.calls").inc();
-    metric_counter!("columnar.join.build_rows").add(build.num_rows() as u64);
-    metric_counter!("columnar.join.probe_rows").add(probe.num_rows() as u64);
-    metric_counter!("columnar.join.out_rows").add(out.num_rows() as u64);
-    out
-}
-
-/// Inner hash join on explicit key-column pairs `(left_col, right_col)`.
-///
-/// The output contains every left column followed by the right non-key
-/// columns.
-pub fn hash_join_on(left: &Table, right: &Table, keys: &[(usize, usize)]) -> Table {
-    let _span = SpanTimer::start(metric_histogram!("columnar.join.wall_micros"));
-    let left_keys: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
-    let right_keys: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
-    let (schema, right_payload) = join_schema(left, right, &right_keys);
-    let mut out = Table::empty(schema);
-    let mut scratch: Vec<u32> = Vec::new();
-
-    // Build on the smaller side, probe with the larger.
-    let (build_rows, probe_rows);
-    if left.num_rows() <= right.num_rows() {
-        (build_rows, probe_rows) = (left.num_rows(), right.num_rows());
-        let index = build_index(left, &left_keys);
-        metric_counter!("columnar.join.build_distinct_keys").add(index.num_keys() as u64);
-        for probe_row in 0..right.num_rows() {
-            if let Some(matches) = index.probe(right, &right_keys, probe_row, &mut scratch) {
-                for &build_row in matches {
-                    push_joined(
-                        &mut out,
-                        left,
-                        build_row as usize,
-                        right,
-                        probe_row,
-                        &right_payload,
-                    );
-                }
-            }
-        }
-    } else {
-        (build_rows, probe_rows) = (right.num_rows(), left.num_rows());
-        let index = build_index(right, &right_keys);
-        metric_counter!("columnar.join.build_distinct_keys").add(index.num_keys() as u64);
-        for probe_row in 0..left.num_rows() {
-            if let Some(matches) = index.probe(left, &left_keys, probe_row, &mut scratch) {
-                for &build_row in matches {
-                    push_joined(
-                        &mut out,
-                        left,
-                        probe_row,
-                        right,
-                        build_row as usize,
-                        &right_payload,
-                    );
-                }
-            }
-        }
-    }
-    metric_counter!("columnar.join.calls").inc();
-    metric_counter!("columnar.join.build_rows").add(build_rows as u64);
-    metric_counter!("columnar.join.probe_rows").add(probe_rows as u64);
-    metric_counter!("columnar.join.out_rows").add(out.num_rows() as u64);
-    out
-}
-
-#[inline]
-fn push_joined(
-    out: &mut Table,
-    left: &Table,
-    left_row: usize,
-    right: &Table,
-    right_row: usize,
-    right_payload: &[usize],
-) {
-    let mut row = Vec::with_capacity(out.schema().len());
-    for c in 0..left.schema().len() {
-        row.push(left.value(left_row, c));
-    }
-    for &c in right_payload {
-        row.push(right.value(right_row, c));
-    }
-    out.push_row(&row);
+    join_on_index(left, right, &index.index, build_is_left, morsel_rows)
 }
 
 /// Natural inner join on all shared column names. Falls back to a cross
@@ -324,40 +356,41 @@ fn push_joined(
 /// assert_eq!(joined.row_vec(0), vec![1, 2, 9]);
 /// ```
 pub fn natural_join(left: &Table, right: &Table) -> Table {
-    let common = left.schema().common_columns(right.schema());
-    if common.is_empty() {
-        return cross_join(left, right);
-    }
-    let keys: Vec<(usize, usize)> = common
-        .iter()
-        .map(|c| {
-            (
-                left.schema().index_of(c).unwrap(),
-                right.schema().index_of(c).unwrap(),
-            )
-        })
-        .collect();
-    hash_join_on(left, right, &keys)
+    natural_join_in_morsels(left, right, usize::MAX)
 }
 
+/// [`natural_join`] probing in `morsel_rows`-sized ranges: the index is
+/// built over the smaller input (the left one on a tie). The result is
+/// row-for-row the same at every morsel size.
+pub(crate) fn natural_join_in_morsels(left: &Table, right: &Table, morsel_rows: usize) -> Table {
+    let (left_keys, right_keys) = shared_keys(left, right);
+    if left_keys.is_empty() {
+        return cross_join(left, right);
+    }
+    let build_is_left = left.num_rows() <= right.num_rows();
+    let index = if build_is_left {
+        JoinIndex::build(left, &left_keys)
+    } else {
+        JoinIndex::build(right, &right_keys)
+    };
+    join_on_index(
+        (left, &left_keys),
+        (right, &right_keys),
+        &index,
+        build_is_left,
+        morsel_rows,
+    )
+}
+
+/// Every `(left, right)` row pair, left-major.
 fn cross_join(left: &Table, right: &Table) -> Table {
     metric_counter!("columnar.cross_join.calls").inc();
-    let names: Vec<String> = left
-        .schema()
-        .names()
-        .iter()
-        .chain(right.schema().names())
-        .map(|c| c.to_string())
+    let (schema, right_payload) = join_schema(left, right, &[]);
+    let right_rows = right.num_rows() as u32;
+    let pairs: Vec<(u32, u32)> = (0..left.num_rows() as u32)
+        .flat_map(|l| (0..right_rows).map(move |r| (l, r)))
         .collect();
-    let mut out = Table::empty(Schema::new(names));
-    for l in 0..left.num_rows() {
-        for r in 0..right.num_rows() {
-            let mut row: Vec<u32> = (0..left.schema().len()).map(|c| left.value(l, c)).collect();
-            row.extend((0..right.schema().len()).map(|c| right.value(r, c)));
-            out.push_row(&row);
-        }
-    }
-    out
+    write_pairs(schema, left, right, &right_payload, &[pairs], usize::MAX)
 }
 
 /// Left semi join `left ⋉ right` on a single key pair: the rows of `left`
@@ -385,54 +418,30 @@ pub fn semi_join_on(left: &Table, left_key: usize, right: &Table, right_key: usi
 pub fn left_outer_join(left: &Table, right: &Table) -> Table {
     let _span = SpanTimer::start(metric_histogram!("columnar.left_outer.wall_micros"));
     metric_counter!("columnar.left_outer.calls").inc();
-    let common = left.schema().common_columns(right.schema());
-    let left_keys: Vec<usize> = common
-        .iter()
-        .map(|c| left.schema().index_of(c).unwrap())
-        .collect();
-    let right_keys: Vec<usize> = common
-        .iter()
-        .map(|c| right.schema().index_of(c).unwrap())
-        .collect();
+    let (left_keys, right_keys) = shared_keys(left, right);
     let (schema, right_payload) = join_schema(left, right, &right_keys);
-    let mut out = Table::empty(schema);
-
-    if common.is_empty() {
-        // Degenerate case: OPTIONAL with no shared variables is a cross
-        // product unless the right side is empty, where the left survives
-        // padded (there are no right-only columns to pad only if right is
-        // fully keyed, so pad all right columns).
-        if right.is_empty() {
-            for l in 0..left.num_rows() {
-                let mut row: Vec<u32> =
-                    (0..left.schema().len()).map(|c| left.value(l, c)).collect();
-                row.extend(std::iter::repeat_n(NULL_ID, right_payload.len()));
-                out.push_row(&row);
-            }
-            return out;
-        }
-        return cross_join(left, right);
-    }
-
-    let index = build_index(right, &right_keys);
-    let mut scratch: Vec<u32> = Vec::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut padded = 0u64;
-    for l in 0..left.num_rows() {
-        match index.probe(left, &left_keys, l, &mut scratch) {
-            Some(matches) => {
-                for &r in matches {
-                    push_joined(&mut out, left, l, right, r as usize, &right_payload);
-                }
-            }
-            None => {
-                let mut row: Vec<u32> =
-                    (0..left.schema().len()).map(|c| left.value(l, c)).collect();
-                row.extend(std::iter::repeat_n(NULL_ID, right_payload.len()));
-                out.push_row(&row);
-                padded += 1;
-            }
+    if left_keys.is_empty() {
+        // OPTIONAL with no shared variables is a cross product, unless the
+        // right side is empty: then every left row survives, padded.
+        if !right.is_empty() {
+            return cross_join(left, right);
         }
+        pairs.extend((0..left.num_rows() as u32).map(|l| (l, NO_ROW)));
+        padded = pairs.len() as u64;
+    } else {
+        let index = JoinIndex::build(right, &right_keys);
+        index.for_each_match(left, &left_keys, 0..left.num_rows(), |l, matches| {
+            if matches.is_empty() {
+                pairs.push((l, NO_ROW));
+                padded += 1;
+            } else {
+                pairs.extend(matches.iter().map(|&r| (l, r)));
+            }
+        });
     }
+    let out = write_pairs(schema, left, right, &right_payload, &[pairs], usize::MAX);
     metric_counter!("columnar.left_outer.padded_rows").add(padded);
     metric_counter!("columnar.left_outer.out_rows").add(out.num_rows() as u64);
     out
@@ -548,7 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_index_matches_hash_join_on_both_orientations() {
+    fn prebuilt_index_matches_natural_join_both_orientations() {
         let acc = follows().with_schema(Schema::new(["x", "j"]));
         let pat = likes().with_schema(Schema::new(["j", "w"]));
         let j = acc.schema().index_of("j").unwrap();
@@ -556,15 +565,15 @@ mod tests {
         let index = build_join_index(&acc, &[j]);
         assert_eq!(index.key_positions(), &[j]);
 
-        // build-as-left matches hash_join_on(acc, pat, ..) exactly.
-        let via_index = hash_join_probe(&acc, &index, &pat, &[pj], true);
-        let direct = hash_join_on(&acc, &pat, &[(j, pj)]);
-        assert_eq!(via_index, direct);
+        for morsel_rows in [1, 2, usize::MAX] {
+            // build-as-left: the columns of natural_join(acc, pat).
+            let via_index = hash_join_probe(&acc, &index, &pat, &[pj], true, morsel_rows);
+            assert_eq!(via_index, natural_join(&acc, &pat));
 
-        // build-as-right matches hash_join_on(pat, acc, ..) exactly.
-        let via_index = hash_join_probe(&acc, &index, &pat, &[pj], false);
-        let direct = hash_join_on(&pat, &acc, &[(pj, j)]);
-        assert_eq!(via_index, direct);
+            // build-as-right: the columns of natural_join(pat, acc).
+            let via_index = hash_join_probe(&acc, &index, &pat, &[pj], false, morsel_rows);
+            assert_eq!(via_index, natural_join(&pat, &acc));
+        }
     }
 
     #[test]
@@ -572,14 +581,13 @@ mod tests {
         // One build, two probes — the star-query pattern the engine cache
         // exploits for consecutive patterns sharing a join variable.
         let acc = Table::from_rows(Schema::new(["s", "a"]), &[[1, 10], [2, 20], [2, 21]]);
-        let s = 0;
-        let index = build_join_index(&acc, &[s]);
+        let index = build_join_index(&acc, &[0]);
         let p1 = Table::from_rows(Schema::new(["s", "b"]), &[[2, 30]]);
         let p2 = Table::from_rows(Schema::new(["s", "c"]), &[[1, 40], [2, 41]]);
-        let j1 = hash_join_probe(&acc, &index, &p1, &[0], true);
-        assert_eq!(j1, hash_join_on(&acc, &p1, &[(s, 0)]));
-        let j2 = hash_join_probe(&acc, &index, &p2, &[0], true);
-        assert_eq!(j2, hash_join_on(&acc, &p2, &[(s, 0)]));
+        let j1 = hash_join_probe(&acc, &index, &p1, &[0], true, usize::MAX);
+        assert_eq!(j1, natural_join(&acc, &p1));
+        let j2 = hash_join_probe(&acc, &index, &p2, &[0], true, usize::MAX);
+        assert_eq!(j2, natural_join(&acc, &p2));
         assert_eq!(j1.num_rows(), 2);
         assert_eq!(j2.num_rows(), 3);
     }

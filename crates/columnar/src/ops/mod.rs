@@ -13,10 +13,9 @@ mod set;
 mod sort;
 
 pub use basic::{filter, project, project_rename, select_eq};
-pub(crate) use join::join_schema;
+pub(crate) use join::natural_join_in_morsels;
 pub use join::{
-    build_join_index, hash_join_on, hash_join_probe, left_outer_join, natural_join, semi_join_on,
-    BuildIndex,
+    build_join_index, hash_join_probe, left_outer_join, natural_join, semi_join_on, BuildIndex,
 };
 pub use set::{distinct, union};
 pub use sort::{slice, sort_by, sort_by_key_radix, sort_by_keys_radix};

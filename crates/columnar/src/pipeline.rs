@@ -1,49 +1,20 @@
-//! Morsel-driven pipelines: fused scan→filter→join-probe execution.
+//! Morsel-driven pipelines: row-independent work cut into
+//! [`crate::exec::JoinConfig::morsel_rows`]-sized ranges on the persistent
+//! worker pool ([`crate::pool`]), the shared-memory analogue of Spark
+//! running one task per partition of a stage.
 //!
-//! The operator-at-a-time path materializes every intermediate: a bound
-//! constant becomes a `select_eq` that *copies* the surviving rows into a
-//! fresh table, which the next operator reads back just to throw most of it
-//! away again. This module is the fused alternative, the shared-memory
-//! analogue of Spark's whole-stage codegen collapsing `Filter → Project →
-//! HashJoin` into one generated loop:
-//!
-//! * the probe side is cut into [`JoinConfig::morsel_rows`]-sized
-//!   **morsels**, each a task on the persistent worker pool
-//!   ([`crate::pool`]);
-//! * inside one morsel, every equality predicate is evaluated by the
-//!   vectorized kernels ([`crate::ops::kernels`]) into one **filter
-//!   bitmap**, which is pushed directly into the join probe — rows that
-//!   fail the filter never touch the hash index, and the filtered
-//!   intermediate table is **never built**;
-//! * non-key columns are **late-materialized**: only after all morsels
-//!   report their match pairs does the sink ([`exec::write_pairs`]) gather
-//!   payload columns, once, into disjoint slices of the pre-sized output.
-//!
-//! `columnar.pipeline.bytes_elided` counts the bytes of intermediate table
-//! the fused path did *not* copy (the materializing plan's `select_eq`
-//! output) — the observable win next to `concat.bytes_copied == 0`.
+//! [`morsel_ranges`] cuts the ranges: the join kernel ([`crate::ops`])
+//! probes one per task, and [`parallel_filter`] tests one per task, then
+//! gathers the survivors once.
 
-use crate::bitmap::Bitmap;
-use crate::exec::{self, JoinConfig};
 use crate::metric_counter;
-use crate::ops::{self, kernels};
+use crate::ops;
 use crate::pool;
 use crate::table::Table;
 
 /// Minimum table size for which cutting morsels (and paying task overhead)
 /// is worthwhile; below it the serial operators run directly.
 pub const MIN_PARALLEL_ROWS: usize = 4096;
-
-/// One equality predicate of a fused pipeline: `column == value` over
-/// dictionary ids (a bound term of a triple pattern, or any pushed-down
-/// selection).
-#[derive(Debug, Clone, Copy)]
-pub struct EqFilter {
-    /// Probe-side column index.
-    pub col: usize,
-    /// Dictionary id the column must equal.
-    pub value: u32,
-}
 
 /// Splits `0..n` into `morsel_rows`-sized ranges (at least one when
 /// `n > 0`).
@@ -52,106 +23,6 @@ pub fn morsel_ranges(n: usize, morsel_rows: usize) -> Vec<std::ops::Range<usize>
     (0..n.div_ceil(step))
         .map(|m| m * step..((m + 1) * step).min(n))
         .collect()
-}
-
-/// Evaluates `filters` over one morsel (`range`) of `probe` as a bitmap,
-/// entirely through the chunked kernels.
-fn morsel_filter_bitmap(
-    probe: &Table,
-    filters: &[EqFilter],
-    range: &std::ops::Range<usize>,
-) -> Bitmap {
-    let mut iter = filters.iter();
-    let mut bm = match iter.next() {
-        Some(f) => kernels::eq_const(&probe.column(f.col)[range.clone()], f.value),
-        None => Bitmap::full(range.len()),
-    };
-    for f in iter {
-        kernels::and_eq_const(&mut bm, &probe.column(f.col)[range.clone()], f.value);
-    }
-    bm
-}
-
-/// Fused scan→filter→join-probe pipeline: produces the same bag of rows as
-///
-/// ```text
-/// natural_join(select_eq(probe, f₁) ∘ … ∘ select_eq(probe, fₙ), build)
-/// ```
-///
-/// (with `probe` as the left operand) but never materializes the filtered
-/// probe table: each morsel folds its filters into a bitmap, probes the
-/// surviving rows against one shared build index, and only the final sink
-/// gathers payload columns. Row order is morsel-major — a permutation of
-/// the serial plan's bag, like every parallel join here.
-///
-/// Falls back to the materializing plan when the inputs share no column or
-/// the probe side is trivially small.
-pub fn fused_filter_join(
-    probe: &Table,
-    filters: &[EqFilter],
-    build: &Table,
-    cfg: &JoinConfig,
-) -> Table {
-    let common = probe.schema().common_columns(build.schema());
-    if common.is_empty() || probe.num_rows() < MIN_PARALLEL_ROWS || build.is_empty() {
-        let mut filtered = None;
-        for f in filters {
-            let src = filtered.as_ref().unwrap_or(probe);
-            filtered = Some(ops::select_eq(src, f.col, f.value));
-        }
-        return ops::natural_join(filtered.as_ref().unwrap_or(probe), build);
-    }
-    let probe_keys: Vec<usize> = common
-        .iter()
-        .map(|c| probe.schema().index_of(c).unwrap())
-        .collect();
-    let build_keys: Vec<usize> = common
-        .iter()
-        .map(|c| build.schema().index_of(c).unwrap())
-        .collect();
-    let (schema, build_payload) = ops::join_schema(probe, build, &build_keys);
-    let index = exec::build_bcast_index(build, &build_keys);
-
-    let ranges = morsel_ranges(probe.num_rows(), cfg.morsel_rows);
-    metric_counter!("columnar.pipeline.fused_calls").inc();
-    metric_counter!("columnar.pipeline.morsels").add(ranges.len() as u64);
-    let tasks: Vec<_> = ranges
-        .iter()
-        .map(|range| {
-            let (index, probe_keys) = (&index, &probe_keys);
-            move |_worker: usize| {
-                let bm = morsel_filter_bitmap(probe, filters, range);
-                let kept = bm.count_ones();
-                let pairs = exec::probe_bcast(
-                    index,
-                    probe,
-                    probe_keys,
-                    bm.iter_ones().map(|i| range.start + i),
-                    // `probe` is the left operand and the index was built
-                    // on the right.
-                    false,
-                );
-                (pairs, kept)
-            }
-        })
-        .collect();
-    let results = pool::current().run(tasks);
-
-    // The materializing plan would have copied every filter-surviving probe
-    // row (all columns) into an intermediate table; the fused plan did not.
-    let survivors: usize = results.iter().map(|(_, kept)| kept).sum();
-    let elided = (survivors * probe.schema().len() * std::mem::size_of::<u32>()) as u64;
-    metric_counter!("columnar.pipeline.bytes_elided").add(elided);
-
-    let pair_lists: Vec<Vec<(u32, u32)>> = results.into_iter().map(|(pairs, _)| pairs).collect();
-    exec::write_pairs(
-        schema,
-        probe,
-        build,
-        &build_payload,
-        &pair_lists,
-        cfg.morsel_rows,
-    )
 }
 
 /// Morsel-parallel row filter: evaluates `pred` over `morsel_rows`-sized
@@ -202,99 +73,6 @@ mod tests {
             .map(|_| (0..schema.len()).map(|_| next()).collect())
             .collect();
         Table::from_rows(Schema::new(schema.iter().map(|s| s.to_string())), &rows)
-    }
-
-    fn materializing_plan(probe: &Table, filters: &[EqFilter], build: &Table) -> Table {
-        let mut t = probe.clone();
-        for f in filters {
-            t = ops::select_eq(&t, f.col, f.value);
-        }
-        ops::natural_join(&t, build)
-    }
-
-    #[test]
-    fn fused_matches_materializing_plan() {
-        let probe = random_table(&["k", "a", "b"], 20_000, 16, 1);
-        let build = random_table(&["k", "c"], 500, 16, 2);
-        for filters in [
-            vec![],
-            vec![EqFilter { col: 1, value: 3 }],
-            vec![EqFilter { col: 1, value: 3 }, EqFilter { col: 2, value: 7 }],
-        ] {
-            let fused = fused_filter_join(&probe, &filters, &build, &JoinConfig::default());
-            let reference = materializing_plan(&probe, &filters, &build);
-            assert_eq!(fused.schema(), reference.schema());
-            assert_eq!(
-                row_multiset(&fused),
-                row_multiset(&reference),
-                "filters={}",
-                filters.len()
-            );
-        }
-    }
-
-    #[test]
-    fn fused_small_morsels_match() {
-        let probe = random_table(&["k", "a"], 10_000, 8, 3);
-        let build = random_table(&["k", "b"], 300, 8, 4);
-        let cfg = JoinConfig {
-            morsel_rows: 101,
-            ..JoinConfig::default()
-        };
-        let fused = fused_filter_join(&probe, &[EqFilter { col: 1, value: 2 }], &build, &cfg);
-        let reference = materializing_plan(&probe, &[EqFilter { col: 1, value: 2 }], &build);
-        assert_eq!(row_multiset(&fused), row_multiset(&reference));
-    }
-
-    #[test]
-    fn fused_fallback_paths() {
-        // Disjoint schemas → cross-join fallback via ops::natural_join.
-        let probe = random_table(&["a"], 5000, 4, 5);
-        let build = random_table(&["b"], 3, 4, 6);
-        let fused = fused_filter_join(
-            &probe,
-            &[EqFilter { col: 0, value: 1 }],
-            &build,
-            &JoinConfig::default(),
-        );
-        let reference = materializing_plan(&probe, &[EqFilter { col: 0, value: 1 }], &build);
-        assert_eq!(row_multiset(&fused), row_multiset(&reference));
-        // Tiny probe → serial fallback.
-        let probe = random_table(&["k", "a"], 50, 4, 7);
-        let build = random_table(&["k", "b"], 20, 4, 8);
-        let fused = fused_filter_join(
-            &probe,
-            &[EqFilter { col: 1, value: 1 }],
-            &build,
-            &JoinConfig::default(),
-        );
-        let reference = materializing_plan(&probe, &[EqFilter { col: 1, value: 1 }], &build);
-        assert_eq!(row_multiset(&fused), row_multiset(&reference));
-    }
-
-    #[test]
-    fn fused_elides_intermediate_bytes() {
-        use crate::metrics;
-        let _guard = metrics::test_lock();
-        let probe = random_table(&["k", "a"], 30_000, 8, 9);
-        let build = random_table(&["k", "b"], 200, 8, 10);
-        let elided = metrics::counter("columnar.pipeline.bytes_elided");
-        let concat_bytes = metrics::counter("columnar.concat.bytes_copied");
-        metrics::set_enabled(true);
-        let before = (elided.get(), concat_bytes.get());
-        let out = fused_filter_join(
-            &probe,
-            &[EqFilter { col: 1, value: 3 }],
-            &build,
-            &JoinConfig::default(),
-        );
-        let delta = (elided.get() - before.0, concat_bytes.get() - before.1);
-        metrics::set_enabled(false);
-        assert!(out.num_rows() > 0);
-        // ~1/8 of 30k rows survive the filter; each would have cost
-        // 2 columns × 4 bytes in the materializing plan.
-        assert!(delta.0 > 0, "no intermediate bytes elided");
-        assert_eq!(delta.1, 0, "fused pipeline must not concat");
     }
 
     #[test]

@@ -131,8 +131,7 @@ pub struct PoolStats {
     /// Cached parallelism the pool was built with — probed exactly once at
     /// construction, never re-probed on hot paths.
     pub workers: usize,
-    /// Tasks executed (morsels, partitions, write chunks — one per `run`
-    /// task).
+    /// Tasks executed (probe morsels, write chunks — one per `run` task).
     pub tasks: u64,
     /// Tasks taken from another worker's queue.
     pub steals: u64,

@@ -3,11 +3,12 @@
 
 use proptest::prelude::*;
 
-use s2rdf_columnar::exec::{par_natural_join, row_multiset};
-use s2rdf_columnar::ops::{
-    distinct, hash_join_on, left_outer_join, natural_join, semi_join_on, union,
-};
+use s2rdf_columnar::exec::{natural_join_adaptive, row_multiset, JoinConfig};
+use s2rdf_columnar::ops::{distinct, left_outer_join, natural_join, semi_join_on, union};
 use s2rdf_columnar::{Schema, Table, NULL_ID};
+
+mod common;
+use common::reference_join;
 
 fn table(cols: &'static [&'static str], rows: Vec<Vec<u32>>) -> Table {
     Table::from_rows(Schema::new(cols.iter().map(|c| c.to_string())), &rows)
@@ -15,28 +16,6 @@ fn table(cols: &'static [&'static str], rows: Vec<Vec<u32>>) -> Table {
 
 fn arb_rows(width: usize, card: u32) -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(proptest::collection::vec(0..card, width), 0..50)
-}
-
-/// Naive nested-loop natural join on one shared column ("j").
-fn reference_join(left: &Table, right: &Table) -> Vec<Vec<u32>> {
-    let lj = left.schema().index_of("j").unwrap();
-    let rj = right.schema().index_of("j").unwrap();
-    let mut out = Vec::new();
-    for l in 0..left.num_rows() {
-        for r in 0..right.num_rows() {
-            if left.value(l, lj) == right.value(r, rj) {
-                let mut row = left.row_vec(l);
-                for c in 0..right.schema().len() {
-                    if c != rj {
-                        row.push(right.value(r, c));
-                    }
-                }
-                out.push(row);
-            }
-        }
-    }
-    out.sort();
-    out
 }
 
 proptest! {
@@ -51,14 +30,10 @@ proptest! {
         let right = table(&["j", "b"], r);
         let expected = reference_join(&left, &right);
         prop_assert_eq!(row_multiset(&natural_join(&left, &right)), expected.clone());
-        // The keyed variant and the partitioned variant agree too.
-        let keyed = hash_join_on(&left, &right, &[(1, 0)]);
-        prop_assert_eq!(row_multiset(&keyed), expected.clone());
-        for parts in [2, 5] {
-            prop_assert_eq!(
-                row_multiset(&par_natural_join(&left, &right, parts)),
-                expected.clone()
-            );
+        // The morsel-parallel probe agrees too.
+        for morsel_rows in [1, 5] {
+            let (out, _) = natural_join_adaptive(&left, &right, &JoinConfig { morsel_rows });
+            prop_assert_eq!(row_multiset(&out), expected.clone());
         }
     }
 
@@ -115,7 +90,7 @@ proptest! {
         l in arb_rows(4, 4),
         r in arb_rows(4, 4),
     ) {
-        // Shared columns j1,j2,j3 → the Wide KeyIndex arm.
+        // Shared columns j1,j2,j3 → the Wide JoinIndex arm.
         let left = table(&["a", "j1", "j2", "j3"], l.clone());
         let right = table(&["j1", "j2", "j3", "b"], r.clone());
         let wide = natural_join(&left, &right);

@@ -1,6 +1,7 @@
 //! Concurrency stress tests for the shared worker pool, plus the
-//! `S2RDF_THREADS=1` serial-equivalence property: a single-worker pool must
-//! make every join strategy behave exactly like the serial executor.
+//! `S2RDF_THREADS=1` serial-equivalence property: on a single-worker pool
+//! the join must behave exactly like the serial executor at every morsel
+//! size.
 //!
 //! The stress tests exercise the pool's invariants under contention — no
 //! lost tasks, results in submission order, steals actually happen under
@@ -10,9 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use s2rdf_columnar::exec::{
-    natural_join_adaptive, par_natural_join, row_multiset, JoinConfig, JoinStrategy,
-};
+use s2rdf_columnar::exec::{natural_join_adaptive, JoinConfig, JoinStrategy};
 use s2rdf_columnar::ops::natural_join;
 use s2rdf_columnar::{pool, Schema, Table, WorkerPool};
 
@@ -157,46 +156,15 @@ fn mk2(names: [&str; 2], rows: &[(u32, u32)]) -> Table {
     )
 }
 
-/// Configs that force each join strategy regardless of input shape.
-fn forced_configs() -> Vec<(&'static str, JoinConfig)> {
-    vec![
-        (
-            "forced-broadcast",
-            JoinConfig {
-                serial_row_threshold: 0,
-                broadcast_rows: usize::MAX,
-                ..JoinConfig::default()
-            },
-        ),
-        (
-            "forced-partitioned",
-            JoinConfig {
-                serial_row_threshold: 0,
-                broadcast_rows: 0,
-                broadcast_bytes: 0,
-                target_partition_rows: 8,
-                max_partitions: 6,
-                ..JoinConfig::default()
-            },
-        ),
-        (
-            "tiny-morsels",
-            JoinConfig {
-                serial_row_threshold: 0,
-                broadcast_rows: usize::MAX,
-                morsel_rows: 3,
-                ..JoinConfig::default()
-            },
-        ),
-    ]
-}
+/// Morsel sizes that cut the test inputs into one-row, three-row and
+/// single morsels.
+const MORSEL_SIZES: [usize; 3] = [1, 3, 1 << 14];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// On a 1-worker pool every strategy — broadcast, partitioned, tiny
-    /// morsels — must equal the serial join exactly (S2RDF_THREADS=1
-    /// serial equivalence).
+    /// On a 1-worker pool every morsel size must equal the serial join
+    /// row for row (S2RDF_THREADS=1 serial equivalence).
     #[test]
     fn serial_pool_equivalence(
         left in proptest::collection::vec((0u32..6, 0u32..1000), 0..120),
@@ -206,28 +174,21 @@ proptest! {
         let r = mk2(["k", "b"], &right);
         let ser = natural_join(&l, &r);
         pool::with_pool(serial_pool(), || {
-            for (label, cfg) in forced_configs() {
-                let (out, decision) = natural_join_adaptive(&l, &r, &cfg);
-                prop_assert_eq!(out.schema(), ser.schema(), "{}", label);
-                prop_assert_eq!(
-                    row_multiset(&out),
-                    row_multiset(&ser),
-                    "{}", label
-                );
-                if label == "forced-broadcast" && !l.is_empty() && !r.is_empty() {
+            for morsel_rows in MORSEL_SIZES {
+                let (out, decision) = natural_join_adaptive(&l, &r, &JoinConfig { morsel_rows });
+                prop_assert_eq!(&out, &ser, "morsel_rows={}", morsel_rows);
+                let probe_rows = l.num_rows().max(r.num_rows());
+                if probe_rows > morsel_rows && !l.is_empty() && !r.is_empty() {
                     prop_assert_eq!(decision.strategy, JoinStrategy::Broadcast);
                 }
             }
-            let par = par_natural_join(&l, &r, 5);
-            prop_assert_eq!(row_multiset(&par), row_multiset(&ser));
         });
     }
 }
 
 #[test]
 fn serial_pool_equivalence_deterministic_skew() {
-    // The 90%-hot-key shape that triggers broadcast splitting and AQE
-    // re-splits, on a 1-worker pool.
+    // The 90%-hot-key shape, on a 1-worker pool.
     let hot: Vec<(u32, u32)> = (0..4000)
         .map(|i| if i % 10 < 9 { (7, i) } else { (i % 64, i) })
         .collect();
@@ -236,9 +197,9 @@ fn serial_pool_equivalence_deterministic_skew() {
     let r = mk2(["k", "b"], &flat);
     let ser = natural_join(&l, &r);
     pool::with_pool(serial_pool(), || {
-        for (label, cfg) in forced_configs() {
-            let (out, _) = natural_join_adaptive(&l, &r, &cfg);
-            assert_eq!(row_multiset(&out), row_multiset(&ser), "{label}");
+        for morsel_rows in MORSEL_SIZES {
+            let (out, _) = natural_join_adaptive(&l, &r, &JoinConfig { morsel_rows });
+            assert_eq!(out, ser, "morsel_rows={morsel_rows}");
         }
     });
 }

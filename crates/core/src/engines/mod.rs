@@ -583,8 +583,8 @@ mod tests {
     }
 
     /// The baseline engines join through the caller's `QueryOptions.join`:
-    /// with the serial threshold at zero the small build side broadcasts,
-    /// and the answer is the one default options give.
+    /// with one-row morsels the probe is cut into several morsels (a
+    /// broadcast join), and the answer is the one default options give.
     #[test]
     fn baseline_engines_honour_join_options() {
         use s2rdf_columnar::exec::JoinConfig;
@@ -602,10 +602,7 @@ mod tests {
             Box::new(property_table::PropertyTableEngine::new(&graph)),
         ];
         let forced = QueryOptions {
-            join: JoinConfig {
-                serial_row_threshold: 0,
-                ..JoinConfig::default()
-            },
+            join: JoinConfig { morsel_rows: 1 },
             ..QueryOptions::default()
         };
         let q = "SELECT * WHERE { ?x <follows> ?y . ?y <likes> ?z }";

@@ -1,7 +1,7 @@
 //! The S2RDF engine: ExtVP-aware BGP evaluation (paper §6).
 
 use rustc_hash::{FxHashMap, FxHashSet};
-use s2rdf_columnar::exec::{natural_join_adaptive, BuildSide, JoinDecision, JoinStrategy};
+use s2rdf_columnar::exec::{natural_join_adaptive, BuildSide, JoinDecision};
 use s2rdf_columnar::{ops, SidewaysFilter, Table};
 use s2rdf_model::{Dictionary, TermId};
 use s2rdf_sparql::{TermPattern, TriplePattern};
@@ -447,28 +447,22 @@ impl BgpEvaluator for S2rdfEngine<'_> {
                         }
                     }
                     let mut reused = false;
-                    // Serial index-join decision for the cache paths below:
-                    // one build index over `scanned`, probed by `acc`.
-                    let indexed_decision = |out_rows: usize| JoinDecision {
-                        strategy: JoinStrategy::Serial,
-                        build_side: BuildSide::Right,
-                        partitions: 1,
-                        resplits: 0,
-                        build_rows: scanned.num_rows(),
-                        probe_rows: acc.num_rows(),
-                        out_rows,
+                    // Index-join decision for the cache paths below: one
+                    // build index over `scanned`, probed by `acc` in
+                    // morsels.
+                    let join = ctx.options.join;
+                    let indexed_decision = |out_rows: usize| {
+                        JoinDecision::new(
+                            BuildSide::Right,
+                            scanned.num_rows(),
+                            acc.num_rows(),
+                            join.morsels(acc.num_rows()),
+                            out_rows,
+                        )
                     };
-                    // The serial index-join (and its cross-step cache) only
-                    // competes in the serial regime: once the accumulator
-                    // is past the serial threshold, a parallel probe beats
-                    // even a cache hit — rebuilding an index over a stored
-                    // table costs milliseconds, while serially probing a
-                    // huge accumulator costs seconds — so large joins
-                    // always go through the adaptive planner.
-                    let serial_regime = acc.num_rows() < ctx.options.join.serial_row_threshold;
                     let join_started = std::time::Instant::now();
                     let (joined, decision) = match source {
-                        Some(src) if !scan_keys.is_empty() && serial_regime => {
+                        Some(src) if !scan_keys.is_empty() => {
                             let cache_key = (src.clone(), scan_keys.clone());
                             if let Some(index) = index_cache.get(&cache_key) {
                                 // The cached index was built over a
@@ -480,24 +474,36 @@ impl BgpEvaluator for S2rdfEngine<'_> {
                                 ctx.explain.index_reuses += 1;
                                 s2rdf_columnar::metrics::counter("columnar.join.index_reuses")
                                     .inc();
-                                let out =
-                                    ops::hash_join_probe(&scanned, index, &acc, &acc_keys, false);
+                                let out = ops::hash_join_probe(
+                                    &scanned,
+                                    index,
+                                    &acc,
+                                    &acc_keys,
+                                    false,
+                                    join.morsel_rows,
+                                );
                                 let decision = indexed_decision(out.num_rows());
                                 (out, decision)
                             } else if source_uses.get(&src).copied().unwrap_or(0) >= 2
                                 || scanned.num_rows() <= acc.num_rows()
                             {
                                 let index = ops::build_join_index(&scanned, &scan_keys);
-                                let out =
-                                    ops::hash_join_probe(&scanned, &index, &acc, &acc_keys, false);
+                                let out = ops::hash_join_probe(
+                                    &scanned,
+                                    &index,
+                                    &acc,
+                                    &acc_keys,
+                                    false,
+                                    join.morsel_rows,
+                                );
                                 index_cache.insert(cache_key, index);
                                 let decision = indexed_decision(out.num_rows());
                                 (out, decision)
                             } else {
-                                natural_join_adaptive(&acc, &scanned, &ctx.options.join)
+                                natural_join_adaptive(&acc, &scanned, &join)
                             }
                         }
-                        _ => natural_join_adaptive(&acc, &scanned, &ctx.options.join),
+                        _ => natural_join_adaptive(&acc, &scanned, &join),
                     };
                     ctx.note_join_decision(
                         format!("bgp step {step_no}"),

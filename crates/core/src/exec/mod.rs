@@ -59,9 +59,8 @@ pub struct QueryOptions {
     /// returned in [`Explain::trace`] — the `s2rdf query --profile` path
     /// and the analogue of inspecting a job in Spark's UI.
     pub profile: bool,
-    /// Thresholds for the adaptive join planner (broadcast vs partitioned
-    /// hash join, partition-count derivation, straggler re-partitioning) —
-    /// the analogues of Spark's `autoBroadcastJoinThreshold` and AQE knobs.
+    /// Join execution settings: the probe rows per morsel submitted to the
+    /// worker pool.
     pub join: JoinConfig,
     /// Largest BGP whose join order is chosen by exact left-deep DP
     /// enumeration over the ExtVP-derived cost model
@@ -110,7 +109,7 @@ pub struct StepExplain {
     /// table-selection argument of paper Alg. 2.
     pub rationale: String,
     /// Catalog cardinality estimate for the chosen table before scanning
-    /// (the number the adaptive join planner sees); `0` when the engine
+    /// (the number the join-order planner sees); `0` when the engine
     /// has no estimate.
     pub est_rows: usize,
 }
@@ -130,9 +129,9 @@ impl StepExplain {
     }
 }
 
-/// Explain record for one executed join: the adaptive planner's decision
-/// (strategy, build side, partition count, re-splits) plus whether a cached
-/// hash index was reused for the build side.
+/// Explain record for one executed join: its decision (strategy, build
+/// side, morsel count) plus whether a cached hash index was reused for the
+/// build side.
 #[derive(Debug, Clone)]
 pub struct JoinExplain {
     /// Where the join ran (e.g. `bgp step 3` or `pattern join`).
@@ -174,8 +173,8 @@ pub struct ReplanExplain {
 
 /// Worker-pool activity attributed to one query: the delta of the shared
 /// [`s2rdf_columnar::pool::WorkerPool`] stats between query start and end.
-/// Tasks here are morsels/partitions/write chunks submitted by joins and
-/// fused pipelines; `steals` shows how much work stealing rebalanced them.
+/// Tasks here are probe morsels and write chunks submitted by joins and
+/// filters; `steals` shows how much work stealing rebalanced them.
 /// Concurrent queries on the same process share the pool, so under
 /// contention the delta can include a neighbour's tasks — it is an
 /// attribution aid, not an exact ledger.
@@ -253,10 +252,8 @@ pub struct Explain {
     /// build side was a repeated pure-rename scan of the same stored table
     /// (star patterns sharing a join variable).
     pub index_reuses: usize,
-    /// One entry per executed pairwise join, in execution order: the
-    /// adaptive planner's strategy, build side, partition count and
-    /// re-splits (Spark's broadcast-vs-shuffle choice plus AQE skew
-    /// handling, observable per join).
+    /// One entry per executed pairwise join, in execution order: its
+    /// strategy, build side and morsel count.
     pub join_steps: Vec<JoinExplain>,
     /// How the BGP join order was chosen: `"dp"` (exact enumeration),
     /// `"greedy"` (Algorithm 4) or `"input"` (ordering disabled / trivial
@@ -419,7 +416,7 @@ impl<'a> ExecContext<'a> {
         Ok(())
     }
 
-    /// Records the adaptive planner's decision for one executed join in
+    /// Records the decision for one executed join in
     /// [`Explain::join_steps`], together with the cost model's output
     /// estimate (when one exists) and the measured wall time.
     pub fn note_join_decision(

@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 
 use rustc_hash::FxHashMap;
-use s2rdf_columnar::exec::{natural_join_adaptive, BuildSide, JoinDecision, JoinStrategy};
+use s2rdf_columnar::exec::{natural_join_adaptive, BuildSide, JoinDecision};
 use s2rdf_columnar::{ops, Schema, Table, NULL_ID};
 use s2rdf_model::{Dictionary, Term};
 use s2rdf_sparql::{optimizer, Expression, GraphPattern, Query, Value};
@@ -70,15 +70,13 @@ pub fn eval_pattern(
                 // to make; record it as a serial decision so join_steps
                 // stays one-entry-per-join.
                 let out = compat_join(&left, &right);
-                let decision = JoinDecision {
-                    strategy: JoinStrategy::Serial,
-                    build_side: BuildSide::Left,
-                    partitions: 1,
-                    resplits: 0,
-                    build_rows: left.num_rows(),
-                    probe_rows: right.num_rows(),
-                    out_rows: out.num_rows(),
-                };
+                let decision = JoinDecision::new(
+                    BuildSide::Left,
+                    left.num_rows(),
+                    right.num_rows(),
+                    1,
+                    out.num_rows(),
+                );
                 (out, decision)
             } else {
                 natural_join_adaptive(&left, &right, &ctx.options.join)

@@ -239,7 +239,7 @@ impl S2rdfStore {
     }
 
     /// Catalog cardinality estimate for a compiled table source, before
-    /// any scan: exactly the number the adaptive join planner would see.
+    /// any scan: exactly the number the join-order planner would see.
     /// Costs one catalog lookup — no table is touched.
     pub fn estimated_rows(&self, source: &crate::compiler::TableSource) -> usize {
         use crate::compiler::TableSource;
@@ -1861,10 +1861,10 @@ mod tests {
         assert!(fresh_count > 1);
     }
 
-    /// Catalog statistics drive the adaptive join planner, so they must
-    /// track deltas: a join that broadcasts its small build side flips to
-    /// the partitioned strategy once a large delta grows that side past
-    /// the broadcast threshold — without rebuilding the store.
+    /// Joins read the tables the deltas grew: a join whose probe side fits
+    /// in one morsel runs serially, and flips to a multi-morsel
+    /// (broadcast) probe once a large delta grows that side past
+    /// `morsel_rows` — without rebuilding the store.
     #[test]
     fn join_strategy_flips_after_large_delta() {
         use s2rdf_columnar::exec::{JoinConfig, JoinStrategy};
@@ -1875,27 +1875,19 @@ mod tests {
         }
         let mut store = S2rdfStore::build(&Graph::from_triples(triples), &BuildOptions::default());
         let options = QueryOptions {
-            join: JoinConfig {
-                serial_row_threshold: 4,
-                broadcast_rows: 64,
-                broadcast_bytes: 0,
-                // Pin the partition knobs so the flip does not depend on
-                // the machine's core count.
-                target_partition_rows: 64,
-                max_partitions: 4,
-                ..JoinConfig::default()
-            },
+            join: JoinConfig { morsel_rows: 64 },
             ..QueryOptions::default()
         };
         let q = "SELECT * WHERE { ?x <p> ?y . ?y <q> ?z }";
         let (solutions, explain) = store.query_opt(q, &options).unwrap();
         assert_eq!(solutions.len(), 8);
         assert!(
-            explain
-                .join_steps
-                .iter()
-                .any(|j| j.decision.strategy == JoinStrategy::Broadcast),
-            "small build side must broadcast: {:?}",
+            !explain.join_steps.is_empty()
+                && explain
+                    .join_steps
+                    .iter()
+                    .all(|j| j.decision.strategy == JoinStrategy::Serial),
+            "an 8-row probe fits in one morsel: {:?}",
             explain.join_steps
         );
 
@@ -1911,16 +1903,8 @@ mod tests {
             explain
                 .join_steps
                 .iter()
-                .any(|j| j.decision.strategy == JoinStrategy::Partitioned),
-            "grown build side must flip to partitioned: {:?}",
-            explain.join_steps
-        );
-        assert!(
-            explain
-                .join_steps
-                .iter()
-                .all(|j| j.decision.strategy != JoinStrategy::Broadcast),
-            "no join should still broadcast a 500-row build side: {:?}",
+                .any(|j| j.decision.strategy == JoinStrategy::Broadcast && j.decision.morsels > 1),
+            "a 508-row probe must be cut into morsels: {:?}",
             explain.join_steps
         );
     }

@@ -3,10 +3,10 @@
 //! Two join families coexist in the stack and must each be internally
 //! consistent:
 //!
-//! * the **hash family** (`ops::natural_join`, `natural_join_adaptive`,
-//!   `par_natural_join`) treats `NULL_ID` as an ordinary key value — all
-//!   three must produce the same bag for every partition count, including
-//!   the `default_parallelism()` used in production;
+//! * the **hash family** (`ops::natural_join` and `natural_join_adaptive`)
+//!   treats `NULL_ID` as an ordinary key value — both must produce the
+//!   same rows at every morsel size, including the default one used in
+//!   production;
 //! * the **compatibility family** (`compat_join`,
 //!   `compat_left_outer_join`) implements SPARQL §2.1 semantics where an
 //!   unbound shared variable matches anything — it must agree with a
@@ -19,9 +19,7 @@
 
 use proptest::prelude::*;
 
-use s2rdf_columnar::exec::{
-    default_parallelism, natural_join_adaptive, par_natural_join, row_multiset, JoinConfig,
-};
+use s2rdf_columnar::exec::{natural_join_adaptive, row_multiset, JoinConfig};
 use s2rdf_columnar::ops::natural_join;
 use s2rdf_columnar::{Schema, Table, NULL_ID};
 use s2rdf_core::exec::{compat_join, compat_left_outer_join};
@@ -104,22 +102,22 @@ fn compat_oracle(left: &Table, right: &Table, outer: bool) -> Vec<Vec<u32>> {
     out
 }
 
-/// The partition counts production code can use, plus edge cases.
-fn partition_counts() -> Vec<usize> {
-    let mut parts = vec![1, 2, 3, 4, 7];
-    let dp = default_parallelism();
-    if !parts.contains(&dp) {
-        parts.push(dp);
-    }
-    parts
+/// Morsel sizes from one row per morsel to the production default.
+fn morsel_sizes() -> [usize; 5] {
+    [1, 2, 3, 7, JoinConfig::default().morsel_rows]
+}
+
+/// `natural_join_adaptive` at `morsel_rows`, as a row multiset.
+fn adaptive(left: &Table, right: &Table, morsel_rows: usize) -> Vec<Vec<u32>> {
+    row_multiset(&natural_join_adaptive(left, right, &JoinConfig { morsel_rows }).0)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The hash-join family treats NULL_ID as a literal value and agrees
-    /// with itself on every partition count, even when shared columns
-    /// contain NULL_ID.
+    /// with itself at every morsel size, even when shared columns contain
+    /// NULL_ID.
     #[test]
     fn hash_family_agrees_on_null_inputs(
         l in arb_rows_with_null(2, 6),
@@ -128,13 +126,11 @@ proptest! {
         let left = table(&["j", "a"], l);
         let right = table(&["j", "b"], r);
         let serial = row_multiset(&natural_join(&left, &right));
-        let (adaptive, _) = natural_join_adaptive(&left, &right, &JoinConfig::default());
-        prop_assert_eq!(row_multiset(&adaptive), serial.clone());
-        for parts in partition_counts() {
+        for morsel_rows in morsel_sizes() {
             prop_assert_eq!(
-                row_multiset(&par_natural_join(&left, &right, parts)),
+                adaptive(&left, &right, morsel_rows),
                 serial.clone(),
-                "par_natural_join diverged at parts={}", parts
+                "natural_join_adaptive diverged at morsel_rows={}", morsel_rows
             );
         }
     }
@@ -148,13 +144,8 @@ proptest! {
         let left = table(&["j", "k", "a"], l);
         let right = table(&["j", "k", "b"], r);
         let serial = row_multiset(&natural_join(&left, &right));
-        let (adaptive, _) = natural_join_adaptive(&left, &right, &JoinConfig::default());
-        prop_assert_eq!(row_multiset(&adaptive), serial.clone());
-        for parts in partition_counts() {
-            prop_assert_eq!(
-                row_multiset(&par_natural_join(&left, &right, parts)),
-                serial.clone()
-            );
+        for morsel_rows in morsel_sizes() {
+            prop_assert_eq!(adaptive(&left, &right, morsel_rows), serial.clone());
         }
     }
 
@@ -196,14 +187,10 @@ proptest! {
     ) {
         let left = table(&["j", "a"], l);
         let right = table(&["j", "b"], r);
-        let (adaptive, _) = natural_join_adaptive(&left, &right, &JoinConfig::default());
-        let hash = row_multiset(&adaptive);
+        let hash = row_multiset(&natural_join(&left, &right));
         prop_assert_eq!(row_multiset(&compat_join(&left, &right)), hash.clone());
-        for parts in partition_counts() {
-            prop_assert_eq!(
-                row_multiset(&par_natural_join(&left, &right, parts)),
-                hash.clone()
-            );
+        for morsel_rows in morsel_sizes() {
+            prop_assert_eq!(adaptive(&left, &right, morsel_rows), hash.clone());
         }
     }
 }
